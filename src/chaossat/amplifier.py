@@ -37,36 +37,6 @@ class ChaosTrajectory:
     first_crossing: int | None
 
 
-@dataclass(frozen=True)
-class QubitDensity:
-    """Diagonal 2x2 density matrix (p0, p1)."""
-
-    p0: float
-    p1: float
-
-    def __post_init__(self):
-        if self.p0 < -1e-12 or self.p1 < -1e-12 or abs(self.p0 + self.p1 - 1.0) > 1e-10:
-            raise ValueError(f"not a diagonal density matrix: ({self.p0}, {self.p1})")
-
-    def z_polarization(self) -> float:
-        """Expectation of sigma_z, i.e. p0 - p1."""
-        return self.p0 - self.p1
-
-
-def density_from_q(q_squared: float) -> QubitDensity:
-    """Post-measurement qubit q^2 |1><1| + (1 - q^2) |0><0|."""
-    if not 0.0 <= q_squared <= 1.0:
-        raise ValueError(f"q^2 must lie in [0, 1], got {q_squared}")
-    return QubitDensity(1.0 - q_squared, q_squared)
-
-
-def density_from_iterate(x: float) -> QubitDensity:
-    """Amplifier register state (I + x sigma_z) / 2; z_polarization() == x."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"iterate must lie in [0, 1], got {x}")
-    return QubitDensity((1.0 + x) / 2.0, (1.0 - x) / 2.0)
-
-
 def logistic_step(x: float, a: float = DEFAULT_A) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")

@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--gamma-re", type=float, default=1.0)
     p.add_argument("--gamma-im", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 
     return parser
@@ -286,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

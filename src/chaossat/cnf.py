@@ -82,7 +82,9 @@ def parse_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF text into a CnfInstance.
 
     Accepts optional ``c`` comment lines, a single ``p cnf n m`` header and
-    exactly m zero-terminated clauses.  Clause tokens may span lines.
+    exactly m zero-terminated clauses.  Clause tokens may span lines.  A
+    line starting with ``%`` (the SATLIB trailer) ends the clause data;
+    everything after it is ignored.
     """
     n = None
     m = None
@@ -95,6 +97,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if n is not None:
                 raise DimacsParseError("duplicate problem header", lineno)

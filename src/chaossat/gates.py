@@ -1,9 +1,10 @@
 """Symbolic gate instructions and their computational-basis semantics.
 
 Gates are stored as (kind, wires, negate_controls) instructions; the
-exponential-size unitaries are never materialized.  All kinds except
-H_BLOCK permute basis states: the target wire is flipped when a Boolean
-function of the control wires is 1.
+exponential-size unitaries are never materialized.  ``SEMANTICS`` is the
+one place a kind's arity and action are written: every kind except
+H_BLOCK flips its target (the last wire) when a Boolean function of its
+effective control values is 1, so every such gate is an involution.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-# kind -> (wire count or None for variable, number of control wires)
-_KINDS = {
-    "NOT": (1, 0),
-    "CN": (2, 1),
-    "CCN": (3, 2),
-    "AND": (3, 2),
-    "OR": (3, 2),
-    "COPY": (2, 1),
-    "H_BLOCK": (None, 0),
+# kind -> (wire count, flip rule on the effective control bits);
+# H_BLOCK takes any number of wires and is the one non-permutation
+SEMANTICS = {
+    "NOT": (1, lambda: 1),
+    "CN": (2, lambda a: a),
+    "COPY": (2, lambda a: a),
+    "CCN": (3, lambda a, b: a & b),
+    "AND": (3, lambda a, b: a & b),
+    "OR": (3, lambda a, b: a | b),
+    "H_BLOCK": (None, None),
 }
 
 
@@ -38,28 +40,27 @@ class GateOp:
     negate_controls: tuple[bool, ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in SEMANTICS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        expected, n_controls = _KINDS[self.kind]
+        expected = SEMANTICS[self.kind][0]
         if expected is not None and len(self.wires) != expected:
             raise ValueError(f"{self.kind} takes {expected} wires, got {len(self.wires)}")
         if len(set(self.wires)) != len(self.wires):
             raise ValueError(f"duplicate wire in {self.kind} gate: {self.wires}")
         if any(w < 1 for w in self.wires):
             raise ValueError(f"wires are 1-based, got {self.wires}")
+        n_controls = len(self.controls)
         if self.negate_controls and len(self.negate_controls) != n_controls:
             raise ValueError(
                 f"{self.kind} has {n_controls} controls, got "
                 f"{len(self.negate_controls)} negate flags"
             )
-        if self.kind in ("AND", "OR", "CCN", "CN", "COPY"):
-            target = self.wires[-1]
-            if any(w > target for w in self.wires[:-1]):
-                raise ValueError(f"controls must precede target in {self.kind} {self.wires}")
+        if any(w > self.wires[-1] for w in self.controls):
+            raise ValueError(f"controls must precede target in {self.kind} {self.wires}")
 
     @property
     def controls(self) -> tuple[int, ...]:
-        if self.kind in ("NOT", "H_BLOCK"):
+        if SEMANTICS[self.kind][0] is None:
             return ()
         return self.wires[:-1]
 
@@ -71,10 +72,19 @@ class GateOp:
 
     def control_flags(self) -> tuple[bool, ...]:
         """Negation flags padded to the control count."""
-        n_controls = len(self.controls)
-        if self.negate_controls:
-            return self.negate_controls
-        return (False,) * n_controls
+        return self.negate_controls or (False,) * len(self.controls)
+
+    def flip_patterns(self) -> tuple[tuple[int, ...], ...]:
+        """Raw control-bit patterns on which the target flips, negations applied."""
+        flip = SEMANTICS[self.kind][1]
+        if flip is None:
+            raise ValueError(f"{self.kind} is not a basis permutation")
+        flags = self.control_flags()
+        return tuple(
+            tuple(bit ^ neg for bit, neg in zip(effective, flags))
+            for effective in product((0, 1), repeat=len(flags))
+            if flip(*effective)
+        )
 
 
 @dataclass(frozen=True)
@@ -92,31 +102,13 @@ class GateSequence:
                 raise ValueError(f"gate {op} exceeds width {self.width}")
 
 
-def _flip_value(op: GateOp, bits: list[int]) -> int:
-    """Boolean function of the effective control values that flips the target."""
-    eff = [
-        bits[w - 1] ^ int(neg)
-        for w, neg in zip(op.controls, op.control_flags())
-    ]
-    if op.kind == "NOT":
-        return 1
-    if op.kind in ("CN", "COPY"):
-        return eff[0]
-    if op.kind in ("CCN", "AND"):
-        return eff[0] & eff[1]
-    if op.kind == "OR":
-        return eff[0] | eff[1]
-    raise ValueError(f"{op.kind} has no basis semantics")
-
-
 def gate_semantics(op: GateOp, basis_in) -> tuple[int, ...]:
     """Action of a classical gate on a basis bit vector (full register width)."""
-    if op.kind == "H_BLOCK":
-        raise ValueError("H_BLOCK is not a basis permutation")
     bits = list(basis_in)
     if max(op.wires) > len(bits):
         raise ValueError(f"gate {op} does not fit input of width {len(bits)}")
-    bits[op.target - 1] ^= _flip_value(op, bits)
+    if tuple(bits[w - 1] for w in op.controls) in op.flip_patterns():
+        bits[op.target - 1] ^= 1
     return tuple(bits)
 
 
@@ -128,37 +120,6 @@ def run_basis(seq: GateSequence, basis_in) -> tuple[int, ...]:
     for op in seq.ops:
         bits = gate_semantics(op, bits)
     return bits
-
-
-def gate_unitary_check(op: GateOp) -> bool:
-    """True iff the gate's action on its touched wires is a bijection."""
-    if op.kind == "H_BLOCK":
-        return True  # Hadamard is unitary by construction
-    width = max(op.wires)
-    images = set()
-    touched = op.wires
-    for pattern in product((0, 1), repeat=len(touched)):
-        bits = [0] * width
-        for w, b in zip(touched, pattern):
-            bits[w - 1] = b
-        out = gate_semantics(op, bits)
-        images.add(tuple(out[w - 1] for w in touched))
-    return len(images) == 2 ** len(touched)
-
-
-def fourier_state(t: int, n_qubits: int):
-    """State with amplitudes 2^{-N/2} exp(2 pi i t k / 2^N) over basis k."""
-    from .simulator import StateVector, check_width
-
-    check_width(n_qubits)
-    dim = 2**n_qubits
-    if not 0 <= t < dim:
-        raise ValueError(f"t={t} out of range [0, {dim})")
-    import numpy as np
-
-    k = np.arange(dim)
-    amps = np.exp(2j * np.pi * t * k / dim) / np.sqrt(dim)
-    return StateVector(n_qubits, amps)
 
 
 def sequence_to_json(seq: GateSequence) -> str:
@@ -176,23 +137,3 @@ def sequence_from_json(text: str) -> GateSequence:
         for o in data["ops"]
     )
     return GateSequence(int(data["width"]), ops)
-
-
-def expand_negated_controls(seq: GateSequence) -> GateSequence:
-    """Rewrite negate_controls flags as explicit NOT-conjugation pairs.
-
-    Used for gate-count reporting; the basis action is unchanged.
-    """
-    ops: list[GateOp] = []
-    for op in seq.ops:
-        flags = op.control_flags()
-        negated = [w for w, f in zip(op.controls, flags) if f]
-        for w in negated:
-            ops.append(GateOp("NOT", (w,)))
-        if any(flags):
-            ops.append(GateOp(op.kind, op.wires))
-        else:
-            ops.append(op)
-        for w in reversed(negated):
-            ops.append(GateOp("NOT", (w,)))
-    return GateSequence(seq.width, tuple(ops))

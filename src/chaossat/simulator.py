@@ -1,9 +1,10 @@
 """Dense state-vector engine with bit-indexed gate application.
 
 Qubit 1 is the most significant bit of the amplitude index, so the
-register reads left to right like a tensor product.  Classical gates act
-as conditional amplitude swaps on numpy views; only the Hadamard block
-mixes amplitudes.
+register reads left to right like a tensor product.  A classical gate
+swaps the target-axis halves of one numpy view per control pattern on
+which the gate table flips the target; only the Hadamard block mixes
+amplitudes.
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.width, self.amps.copy())
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    probability: float
-    post_state: StateVector | None
-
 
 def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
     """The all-zeros basis state for a layout (or explicit width)."""
@@ -96,20 +88,9 @@ def _apply_op(view: np.ndarray, op: GateOp) -> None:
             view[i0] = (a0 + a1) * _SQRT1_2
             view[i1] = (a0 - a1) * _SQRT1_2
         return
-    target_axis = op.target - 1
-    # effective control value 1 means bit == (1 XOR negate flag)
-    controls = [
-        (w - 1, 0 if neg else 1) for w, neg in zip(op.controls, op.control_flags())
-    ]
-    if op.kind in ("NOT", "CN", "COPY", "CCN", "AND"):
-        _swap_flip(view, controls, target_axis)
-    elif op.kind == "OR":
-        # OR(u,v,w) = CN(u,w) CN(v,w) CCN(u,v,w): flip on u, on v, and on both
-        _swap_flip(view, controls[:1], target_axis)
-        _swap_flip(view, controls[1:], target_axis)
-        _swap_flip(view, controls, target_axis)
-    else:
-        raise ValueError(f"unknown gate kind {op.kind!r}")
+    controls = [w - 1 for w in op.controls]
+    for pattern in op.flip_patterns():
+        _swap_flip(view, zip(controls, pattern), op.target - 1)
 
 
 def apply(state: StateVector, seq: GateSequence) -> StateVector:
@@ -129,25 +110,3 @@ def success_probability(state: StateVector, layout: QubitLayout) -> float:
         raise ValueError(f"state width {state.width} != layout total {layout.total}")
     pairs = state.amps.reshape(-1, 2)
     return float(np.sum(np.abs(pairs[:, 1]) ** 2))
-
-
-def post_measure(state: StateVector, layout: QubitLayout) -> MeasurementOutcome:
-    """Project onto result-qubit = 1 and renormalize."""
-    probability = success_probability(state, layout)
-    if probability <= 0.0:
-        return MeasurementOutcome(probability, None)
-    amps = state.amps.copy()
-    pairs = amps.reshape(-1, 2)
-    pairs[:, 0] = 0.0
-    amps /= math.sqrt(probability)
-    return MeasurementOutcome(probability, StateVector(state.width, amps))
-
-
-def estimate_q(state: StateVector, layout: QubitLayout, shots: int, seed: int) -> float:
-    """Sampled estimate of q = sqrt(success probability); deterministic per seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probability = success_probability(state, layout)
-    rng = np.random.default_rng(seed)
-    successes = int(rng.binomial(shots, min(max(probability, 0.0), 1.0)))
-    return math.sqrt(successes / shots)

@@ -1,8 +1,19 @@
 import random
+from itertools import product
 
 import pytest
 
-from chaossat import cnf
+from chaossat import cnf, gates
+
+PERMUTATION_KINDS = [kind for kind, (_, flip) in gates.SEMANTICS.items() if flip is not None]
+
+
+def ops_of_kind(kind):
+    """A permutation kind on a width-4 register, once per set of negation flags."""
+    n_controls = gates.SEMANTICS[kind][0] - 1
+    wires = (1, 3)[:n_controls] + (4,)
+    for flags in product((False, True), repeat=n_controls):
+        yield gates.GateOp(kind, wires, flags)
 
 
 def random_instance(rng: random.Random, max_vars: int = 8, max_clauses: int = 12,

@@ -32,25 +32,6 @@ class TestLogisticStep:
         assert 0.0 <= amplifier.logistic_step(x, a) <= 1.0
 
 
-class TestDensity:
-    def test_from_q_endpoints(self):
-        assert amplifier.density_from_q(0.0) == amplifier.QubitDensity(1.0, 0.0)
-        assert amplifier.density_from_q(1.0) == amplifier.QubitDensity(0.0, 1.0)
-
-    def test_from_q_three_quarters(self):
-        d = amplifier.density_from_q(0.75)
-        assert (d.p0, d.p1) == (0.25, 0.75)
-
-    def test_iterate_encoding_polarization(self):
-        # the amplifier register carries x_m as its z polarization
-        params = LogisticParams(max_steps=15)
-        trajectory = amplifier.iterate(0.3, params)
-        for x in trajectory.xs:
-            assert amplifier.density_from_iterate(x).z_polarization() == pytest.approx(
-                x, abs=1e-15
-            )
-
-
 class TestIterate:
     def test_zero_never_crosses(self):
         trajectory = amplifier.iterate(0.0, LogisticParams(max_steps=40))

@@ -46,6 +46,23 @@ class TestOracle:
         code, _ = run(capsys, "oracle", str(tmp_path / "nope.cnf"))
         assert code == cli.EXIT_ERROR
 
+    def test_satlib_trailer(self, capsys, tmp_path):
+        path = tmp_path / "satlib.cnf"
+        path.write_text("c SATLIB style\np cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n\n")
+        code, payload = run(capsys, "oracle", str(path))
+        assert code == cli.EXIT_SAT
+        assert payload == {"n": 3, "m": 2, "r": 5, "total_assignments": 8}
+
+    def test_memory_error_is_clean_exit(self, capsys, monkeypatch, sat_file):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB")
+
+        monkeypatch.setattr(cli.cnf, "count_satisfying", exhausted)
+        assert cli.main(["oracle", sat_file]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestCompile:
     def test_layout_fields(self, capsys, sat_file):
@@ -159,6 +176,11 @@ class TestSolve:
         code, payload = run(capsys, "solve", str(path), "--engine", "lindblad")
         assert code == cli.EXIT_ERROR
         assert payload["lindblad"] == {"decision": "unsupported", "reason": "q = 1"}
+
+    def test_seed_option_removed(self, capsys, sat_file):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["solve", sat_file, "--seed", "1"])
+        assert exit_info.value.code == 2
 
     def test_deterministic_output(self, capsys, sat_file):
         _, first = run(capsys, "solve", sat_file)

@@ -51,6 +51,14 @@ class TestParseDimacs:
         with pytest.raises(DimacsParseError, match="duplicate literal"):
             cnf.parse_dimacs("p cnf 2 1\n1 1 0\n")
 
+    def test_satlib_trailer_ends_clause_data(self):
+        inst = cnf.parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
+        assert inst.clauses == (clause(1, -2, 3), clause(-1, 2))
+
+    def test_clause_count_checked_before_trailer(self):
+        with pytest.raises(DimacsParseError, match="declares 2 clauses, found 1"):
+            cnf.parse_dimacs("p cnf 3 2\n1 -2 3 0\n%\n-1 2 0\n")
+
     def test_tautological_clause_accepted(self):
         inst = cnf.parse_dimacs("p cnf 1 1\n1 -1 0\n")
         assert cnf.count_satisfying(inst) == 2

@@ -1,6 +1,7 @@
-import numpy as np
 import pytest
 from itertools import product
+
+from conftest import PERMUTATION_KINDS, ops_of_kind
 
 from chaossat import gates
 from chaossat.gates import GateOp, GateSequence
@@ -35,6 +36,11 @@ class TestGateSemantics:
             via_nots = (1 - via_nots[0],) + via_nots[1:]
             assert gates.gate_semantics(negated, bits) == via_nots
 
+    def test_flip_patterns_apply_negation_flags(self):
+        op = GateOp("OR", (1, 2, 3), (True, False))
+        assert op.flip_patterns() == ((1, 1), (0, 0), (0, 1))
+        assert GateOp("NOT", (1,)).flip_patterns() == ((),)
+
     def test_h_block_has_no_basis_semantics(self):
         with pytest.raises(ValueError):
             gates.gate_semantics(GateOp("H_BLOCK", (1,)), (0,))
@@ -53,28 +59,12 @@ class TestGateValidity:
         with pytest.raises(ValueError):
             GateOp("AND", (1, 3, 2))
 
-    @pytest.mark.parametrize(
-        "op",
-        [
-            GateOp("AND", (1, 2, 3)),
-            GateOp("OR", (1, 2, 3)),
-            GateOp("CN", (1, 2)),
-            GateOp("CCN", (1, 2, 3)),
-            GateOp("COPY", (1, 2)),
-            GateOp("NOT", (1,)),
-            GateOp("OR", (1, 2, 3), (True, True)),
-            GateOp("H_BLOCK", (1, 2)),
-        ],
-    )
-    def test_unitary_check(self, op):
-        assert gates.gate_unitary_check(op)
-
-    @pytest.mark.parametrize("kind", ["AND", "OR"])
+    @pytest.mark.parametrize("kind", PERMUTATION_KINDS)
     def test_logical_gates_are_involutions(self, kind):
-        op = GateOp(kind, (1, 2, 3))
-        for bits in product((0, 1), repeat=3):
-            once = gates.gate_semantics(op, bits)
-            assert gates.gate_semantics(op, once) == bits
+        for op in ops_of_kind(kind):
+            for bits in product((0, 1), repeat=4):
+                once = gates.gate_semantics(op, bits)
+                assert gates.gate_semantics(op, once) == bits
 
 
 class TestEmbeddingIdentities:
@@ -99,30 +89,6 @@ class TestEmbeddingIdentities:
                 gates.gate_semantics(GateOp("CN", (1, 2)), bits)
 
 
-class TestFourierState:
-    def test_uniform(self):
-        state = gates.fourier_state(0, 2)
-        assert np.allclose(state.amps, 0.5)
-
-    def test_alternating_signs(self):
-        state = gates.fourier_state(1, 1)
-        expected = np.array([1.0, -1.0]) / np.sqrt(2)
-        assert np.allclose(state.amps, expected)
-
-    def test_unit_norm(self):
-        for t in range(8):
-            assert abs(gates.fourier_state(t, 3).norm() - 1.0) < 1e-12
-
-    def test_orthonormal_family(self):
-        vectors = np.array([gates.fourier_state(t, 3).amps for t in range(8)])
-        gram = vectors @ vectors.conj().T
-        assert np.abs(gram - np.eye(8)).max() < 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            gates.fourier_state(4, 2)
-
-
 class TestSerialization:
     def test_round_trip(self):
         seq = GateSequence(3, (
@@ -130,10 +96,3 @@ class TestSerialization:
             GateOp("OR", (1, 2, 3), (True, False)),
         ))
         assert gates.sequence_from_json(gates.sequence_to_json(seq)) == seq
-
-    def test_expand_negated_controls_preserves_action(self):
-        seq = GateSequence(3, (GateOp("OR", (1, 2, 3), (True, True)),))
-        expanded = gates.expand_negated_controls(seq)
-        assert all(not op.negate_controls for op in expanded.ops)
-        for bits in product((0, 1), repeat=3):
-            assert gates.run_basis(seq, bits) == gates.run_basis(expanded, bits)

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_instance
+from conftest import PERMUTATION_KINDS, ops_of_kind, random_instance
 
-from chaossat import cnf, compiler, simulator
+from chaossat import cnf, compiler, gates, simulator
 from chaossat.cnf import Clause, CnfInstance, Literal
 from chaossat.gates import GateOp, GateSequence
 from chaossat.simulator import WidthCapError
@@ -101,24 +101,6 @@ class TestSuccessProbability:
 
 
 class TestPostMeasure:
-    def test_satisfiable_projects_onto_success(self):
-        inst = CnfInstance(2, (clause(1, 2),))
-        circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        outcome = simulator.post_measure(state, circuit.layout)
-        assert outcome.probability == pytest.approx(0.75)
-        assert abs(outcome.post_state.norm() - 1.0) < 1e-12
-        pairs = outcome.post_state.amps.reshape(-1, 2)
-        assert np.all(pairs[:, 0] == 0)
-
-    def test_unsatisfiable_gives_no_state(self):
-        inst = CnfInstance(1, (clause(1), clause(-1)))
-        circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        outcome = simulator.post_measure(state, circuit.layout)
-        assert outcome.probability < 1e-12
-        assert outcome.post_state is None
-
     def test_completeness(self):
         inst = CnfInstance(2, (clause(1, 2), clause(-1, 2)))
         circuit = compiler.compile(inst)
@@ -129,25 +111,17 @@ class TestPostMeasure:
         assert probability + complement == pytest.approx(1.0, abs=1e-10)
 
 
-class TestEstimateQ:
-    def _state(self, *clauses_):
-        inst = CnfInstance(2, tuple(clauses_))
-        circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        return state, circuit.layout
-
-    def test_probability_zero(self):
-        inst = CnfInstance(1, (clause(1), clause(-1)))
-        circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        assert simulator.estimate_q(state, circuit.layout, 1000, 7) == 0.0
-
-    def test_probability_one(self):
-        state, layout = self._state(clause(1, -1))
-        assert simulator.estimate_q(state, layout, 1000, 7) == 1.0
-
-    def test_seeded_golden(self):
-        state, layout = self._state(clause(1, 2))
-        estimate = simulator.estimate_q(state, layout, 100_000, 42)
-        assert estimate == 0.8674848701850656  # frozen draw, Bernoulli(3/4)
-        assert abs(estimate - math.sqrt(0.75)) < 0.01
+class TestGateTable:
+    @pytest.mark.parametrize("kind", PERMUTATION_KINDS)
+    def test_dense_engine_matches_run_basis(self, kind):
+        for op in ops_of_kind(kind):
+            seq = GateSequence(4, (op,))
+            for index in range(16):
+                start = simulator.StateVector(4, np.eye(16)[index])
+                bits = cnf.assignment_from_index(index, 4)
+                image = gates.run_basis(seq, bits)
+                once = simulator.apply(start, seq)
+                assert once.amps[int("".join(map(str, image)), 2)] == 1
+                assert np.count_nonzero(once.amps) == 1
+                assert np.array_equal(simulator.apply(once, seq).amps, start.amps)
+                assert gates.run_basis(seq, image) == bits
