@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

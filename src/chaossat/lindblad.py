@@ -9,7 +9,6 @@ therefore distinguishes q > 0 from q = 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -135,48 +134,51 @@ def _rhs(p1: float, c: complex, g: complex) -> tuple[float, complex]:
     return -2.0 * g.real * p1, (1j * g.imag - g.real) * c
 
 
+# 1000x the default grid; one run of that size peaks at ~0.7 GiB of arrays and temporaries
+MAX_GRID_POINTS = 10**7
+
+
+def _step_indices(t_final: float, dt: float) -> np.ndarray:
+    """Step numbers 0..round(t_final / dt); bad or oversized grids fail first."""
+    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
+        raise ValueError("dt and t_final must be finite and positive")
+    ratio = t_final / dt
+    if not math.isfinite(ratio) or round(ratio) + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {ratio:g} steps exceeds {MAX_GRID_POINTS} points")
+    return np.arange(round(ratio) + 1)
+
+
 def evolve_dissipative(
     rho0: TwoLevelState,
     params: DissipativeParams,
     t_final: float,
     dt: float = 1e-3,
 ) -> TrajectoryRecord:
-    """Fixed-step RK4 integration of the dissipative master equation.
+    """Fixed-step RK4 integration of the dissipative master equation, in closed form.
 
     Aborts if trace or positivity drifts beyond tolerance (1e-9 / 1e-8),
     which for this linear 2x2 system indicates an integration bug rather
     than stiffness.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("dt and t_final must be positive")
-    g = complex(params.gamma)
-    steps = int(round(t_final / dt))
-    p0 = 1.0 - rho0.p1
-    p1 = rho0.p1
-    c = rho0.coherence
-    times = [0.0]
-    p1s = [p1]
-    cs = [c]
-    for k in range(1, steps + 1):
-        dp1_a, dc_a = _rhs(p1, c, g)
-        dp1_b, dc_b = _rhs(p1 + 0.5 * dt * dp1_a, c + 0.5 * dt * dc_a, g)
-        dp1_c, dc_c = _rhs(p1 + 0.5 * dt * dp1_b, c + 0.5 * dt * dc_b, g)
-        dp1_d, dc_d = _rhs(p1 + dt * dp1_c, c + dt * dc_c, g)
-        dp1 = (dp1_a + 2.0 * dp1_b + 2.0 * dp1_c + dp1_d) * (dt / 6.0)
-        p1 += dp1
-        p0 -= dp1
-        c += (dc_a + 2.0 * dc_b + 2.0 * dc_c + dc_d) * (dt / 6.0)
-        times.append(k * dt)
-        p1s.append(p1)
-        cs.append(c)
-        trace_drift = abs(p0 + p1 - 1.0)
-        min_eig = 0.5 * (1.0 - math.sqrt((p0 - p1) ** 2 + 4.0 * abs(c) ** 2))
-        if trace_drift > 1e-9 or min_eig < -1e-8:
-            raise RuntimeError(
-                f"state invariant violated at t={k * dt}: "
-                f"trace drift {trace_drift}, min eigenvalue {min_eig}"
-            )
-    return TrajectoryRecord(np.array(times), np.array(p1s), np.array(cs))
+    k = _step_indices(t_final, dt)
+    times = k * dt
+    # _rhs is linear and diagonal: _rhs(dt, dt) = rate * dt = z, and one RK4 step is x -> R(z) x
+    zs = _rhs(dt, dt, complex(params.gamma))
+    r_p1, r_c = (1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24 for z in zs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1 = rho0.p1 * r_p1**k
+        c = rho0.coherence * r_c**k
+        p0 = (1.0 - rho0.p1) - (p1 - rho0.p1)  # p0 loses what p1 gains
+        trace_drift = np.abs(p0 + p1 - 1.0)
+        min_eig = 0.5 * (1.0 - np.sqrt((p0 - p1) ** 2 + 4.0 * np.abs(c) ** 2))
+        bad = np.flatnonzero((trace_drift > 1e-9) | (min_eig < -1e-8))
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(
+            f"state invariant violated at t={float(times[i])}: "
+            f"trace drift {float(trace_drift[i])}, min eigenvalue {float(min_eig[i])}"
+        )
+    return TrajectoryRecord(times, p1, c)
 
 
 def hamiltonian_state_at(
@@ -195,15 +197,12 @@ def evolve_hamiltonian(
     dt: float = 1e-3,
 ) -> TrajectoryRecord:
     """Exact unitary evolution sampled on a fixed grid; populations constant."""
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("dt and t_final must be positive")
-    steps = int(round(t_final / dt))
-    times = np.arange(steps + 1) * dt
+    times = _step_indices(t_final, dt) * dt
     delta = params.detuning
     c0 = rho0.coherence
     # rho(t)_{01} = c0 exp(-i ((E0+1) - E1) t)
     cs = c0 * np.exp(-1j * delta * times)
-    p1s = np.full(steps + 1, rho0.p1)
+    p1s = np.full(times.shape, rho0.p1)
     return TrajectoryRecord(times, p1s, cs)
 
 

@@ -111,6 +111,12 @@ class TestAmplify:
         assert lines[0] == "step,x"
         assert len(lines) == 5
 
+    def test_zero_denominator_is_clean_exit(self, capsys):
+        assert cli.main(["amplify", "--q2", "1/0", "--steps", "3"]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestLindblad:
     def test_nonzero_q(self, capsys):
@@ -126,6 +132,14 @@ class TestLindblad:
     def test_q_one_is_error(self, capsys):
         code, _ = run(capsys, "lindblad", "--q", "1.0")
         assert code == cli.EXIT_ERROR
+
+    @pytest.mark.parametrize("grid", [("--t-final", "1e308"), ("--dt", "1e-9")])
+    def test_oversized_grid_is_clean_exit(self, capsys, grid):
+        # 1e308 / dt overflows to inf; dt = 1e-9 asks for 1e10 steps
+        assert cli.main(["lindblad", "--q", "0.5", *grid]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestEntropy:

@@ -90,6 +90,22 @@ class TestGenerator:
             assert complex(drho[0, 1]) == pytest.approx(dc, abs=1e-12)
 
 
+def rk4_reference(rho0, g, t_final, dt):
+    """The integrator stepped one RK4 step at a time, as a reference."""
+    p1, c = rho0.p1, rho0.coherence
+    p1s, cs = [p1], [c]
+    for _ in range(int(round(t_final / dt))):
+        dp1_a, dc_a = lindblad._rhs(p1, c, g)
+        dp1_b, dc_b = lindblad._rhs(p1 + 0.5 * dt * dp1_a, c + 0.5 * dt * dc_a, g)
+        dp1_c, dc_c = lindblad._rhs(p1 + 0.5 * dt * dp1_b, c + 0.5 * dt * dc_b, g)
+        dp1_d, dc_d = lindblad._rhs(p1 + dt * dp1_c, c + dt * dc_c, g)
+        p1 += (dp1_a + 2.0 * dp1_b + 2.0 * dp1_c + dp1_d) * (dt / 6.0)
+        c += (dc_a + 2.0 * dc_b + 2.0 * dc_c + dc_d) * (dt / 6.0)
+        p1s.append(p1)
+        cs.append(c)
+    return np.array(p1s), np.array(cs)
+
+
 def closed_form(rho0, g, times):
     p1 = rho0.p1 * np.exp(-2.0 * g.real * times)
     c = rho0.coherence * np.exp((1j * g.imag - g.real) * times)
@@ -107,6 +123,24 @@ class TestEvolveDissipative:
         assert np.abs(record.p1 - p1_exact).max() < 1e-8
         assert np.abs(record.coherence - c_exact).max() < 1e-8
 
+    @pytest.mark.parametrize("q", [2**-20, 0.25, 0.999])
+    @pytest.mark.parametrize("g", [1.0, 0.5 + 2.0j, 0.1 - 3.0j])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_matches_stepped_rk4(self, q, g, dt):
+        # the exact exponential would miss this reference by O(dt^4), not by rounding
+        rho0 = TwoLevelState.from_q(q)
+        record = lindblad.evolve_dissipative(rho0, DissipativeParams(g), 10.0, dt)
+        p1_ref, c_ref = rk4_reference(rho0, complex(g), 10.0, dt)
+        assert np.abs(record.p1 - p1_ref).max() < 1e-12
+        assert np.abs(record.coherence - c_ref).max() < 1e-12
+
+    def test_unstable_step_violates_invariant(self):
+        # dt = 2 gives z = -4 for p1 and R(-4) = 5: p1 grows past 1 on the first step
+        with pytest.raises(RuntimeError, match=r"state invariant violated at t=2\.0:"):
+            lindblad.evolve_dissipative(
+                TwoLevelState.from_q(0.6), DissipativeParams(1.0), 10.0, dt=2.0
+            )
+
     def test_monotone_population_decay(self):
         record = lindblad.evolve_dissipative(
             TwoLevelState.from_q(0.9), DissipativeParams(1.0), 4.0
@@ -121,6 +155,12 @@ class TestEvolveDissipative:
             lindblad.evolve_dissipative(
                 TwoLevelState.plus(), DissipativeParams(1.0), 1.0, dt=-0.1
             )
+        # non-finite, overflowing t_final/dt, and 10^8 steps: refused before allocating
+        for t_final, dt in ((math.inf, 1e-3), (1.0, math.nan), (1e308, 1e-3), (1e5, 1e-3)):
+            with pytest.raises(ValueError):
+                lindblad.evolve_dissipative(TwoLevelState.plus(), DissipativeParams(1.0), t_final, dt)
+            with pytest.raises(ValueError):
+                lindblad.evolve_hamiltonian(TwoLevelState.plus(), HamiltonianParams(0, 2), t_final, dt)
 
 
 class TestEvolveHamiltonian:
