@@ -49,7 +49,7 @@ def _parse_q2(text: str) -> float:
 
 
 def _write_csv(path: str | None, header: str, rows) -> None:
-    lines = [header] + [",".join(repr(v) for v in row) for row in rows]
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w") as handle:
@@ -135,22 +135,10 @@ def cmd_entropy(args) -> int:
     rho = entropy.DensityMatrix(matrix(data["rho"]))
     channel = entropy.KrausChannel(tuple(matrix(k) for k in data["channel"]["kraus"]))
     base = data.get("base", 2)
-    s_rho = entropy.vn_entropy(rho, base)
-    s_out = entropy.vn_entropy(channel(rho), base)
-    s_e = entropy.entropy_exchange(rho, channel, base)
-    i1 = entropy.ohya_mutual(rho, channel, base)
-    i2, i3 = entropy.coherent_informations(rho, channel, base)
-    payload = {
-        "S": _fmt(s_rho),
-        "S_out": _fmt(s_out),
-        "S_e": _fmt(s_e),
-        "I1": _fmt(i1),
-        "I2": _fmt(i2),
-        "I3": _fmt(i3),
-    }
+    values = entropy.mutual_entropies(rho, channel, base)
+    payload = {key: _fmt(value) for key, value in values.items()}
     if channel.is_rank1_pvm():
-        report = entropy.theorem7_report(rho, channel, base)
-        payload["theorem7"] = report["inequalities_hold"]
+        payload["theorem7"] = entropy.theorem7_holds(values)
     _emit(payload)
     return 0
 

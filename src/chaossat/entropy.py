@@ -8,7 +8,7 @@ is an invariant violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,16 +28,13 @@ def _log_factor(base) -> float:
     raise ValueError(f"log base must be 2 or e, got {base!r}")
 
 
-def _clamped_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values, vectors = np.linalg.eigh(matrix)
-    if values.min() < -EIG_CLAMP:
-        raise InvariantError(f"negative eigenvalue {values.min()} beyond tolerance")
-    return np.clip(values, 0.0, None), vectors
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
+    """A validated state with its spectrum: eigenvalues clamped at 0, ascending."""
+
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, compare=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -48,8 +45,11 @@ class DensityMatrix:
             raise InvariantError("density matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-12:
             raise InvariantError(f"trace must be 1, got {np.trace(m)}")
-        if np.linalg.eigvalsh(m).min() < -EIG_CLAMP:
+        values, vectors = np.linalg.eigh(m)
+        if values.min() < -EIG_CLAMP:
             raise InvariantError("density matrix must be positive semidefinite")
+        object.__setattr__(self, "eigenvalues", np.clip(values, 0.0, None))
+        object.__setattr__(self, "eigenvectors", vectors)
 
     @property
     def dim(self) -> int:
@@ -156,7 +156,7 @@ class Ensemble:
 def vn_entropy(rho: DensityMatrix, base=2) -> float:
     """-sum lambda log lambda over the eigenvalues (0 log 0 = 0)."""
     factor = _log_factor(base)
-    values, _ = _clamped_eigh(rho.matrix)
+    values = rho.eigenvalues
     positive = values[values > 0]
     return float(-(positive * np.log(positive)).sum() / factor)
 
@@ -166,14 +166,14 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix, base=2) -> float:
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch {sigma.dim} != {rho.dim}")
     factor = _log_factor(base)
-    rho_vals, rho_vecs = _clamped_eigh(rho.matrix)
+    rho_vals, rho_vecs = rho.eigenvalues, rho.eigenvectors
     support = rho_vals > SUPPORT_TOL
     if not support.all():
         kernel = rho_vecs[:, ~support]
         leak = np.trace(kernel.conj().T @ sigma.matrix @ kernel).real
         if leak > 1e-10:
             return math.inf
-    sig_vals, _ = _clamped_eigh(sigma.matrix)
+    sig_vals = sigma.eigenvalues
     positive = sig_vals[sig_vals > 0]
     term1 = float((positive * np.log(positive)).sum())
     overlaps = np.einsum(
@@ -184,73 +184,26 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix, base=2) -> float:
     return max(value, 0.0) if value > -1e-9 else value
 
 
-def _spectral_projections(rho: DensityMatrix) -> list[tuple[float, np.ndarray]]:
-    """Rank-1 eigenpairs, eigenvalues descending, zero modes dropped."""
-    values, vectors = _clamped_eigh(rho.matrix)
-    order = np.argsort(values)[::-1]
-    pairs = []
-    for idx in order:
-        if values[idx] <= SUPPORT_TOL:
-            continue
-        v = vectors[:, idx]
-        pairs.append((float(values[idx]), np.outer(v, v.conj())))
-    return pairs
-
-
-def ohya_mutual(
-    rho: DensityMatrix,
-    channel: KrausChannel,
-    base=2,
-    degenerate_search_budget: int = 0,
-    seed: int = 0,
-) -> float:
+def ohya_mutual(rho: DensityMatrix, channel: KrausChannel, base=2) -> float:
     """Weighted relative entropy of channeled eigenprojections vs the output.
 
     sum_n lambda_n S(Lambda E_n, Lambda rho) over the spectral
-    decomposition of rho.  With a positive budget, random orthonormal
-    rotations inside degenerate eigenspaces are also tried and the
-    maximum is returned (the supremum over orthogonal decompositions can
-    in principle live there).
+    decomposition of rho, eigenvalues descending, zero modes dropped.
+    For a degenerate rho the decomposition is the one eigh returns; the
+    supremum over other orthogonal decompositions is not searched.
     """
     if rho.dim != channel.dim_in:
         raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
     out = channel(rho)
-
-    def value_for(pairs) -> float:
-        return sum(
-            lam * relative_entropy(channel(DensityMatrix(proj)), out, base)
-            for lam, proj in pairs
-        )
-
-    best = value_for(_spectral_projections(rho))
-    if degenerate_search_budget > 0:
-        values, vectors = _clamped_eigh(rho.matrix)
-        groups: list[list[int]] = []
-        for idx in np.argsort(values)[::-1]:
-            if values[idx] <= SUPPORT_TOL:
-                continue
-            if groups and abs(values[groups[-1][0]] - values[idx]) < 1e-10:
-                groups[-1].append(idx)
-            else:
-                groups.append([idx])
-        if any(len(g) > 1 for g in groups):
-            rng = np.random.default_rng(seed)
-            for _ in range(degenerate_search_budget):
-                pairs = []
-                for group in groups:
-                    block = vectors[:, group]
-                    if len(group) > 1:
-                        z = rng.normal(size=(len(group), len(group))) + 1j * rng.normal(
-                            size=(len(group), len(group))
-                        )
-                        q, r = np.linalg.qr(z)
-                        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-                        block = block @ q
-                    for j, idx in enumerate(group):
-                        v = block[:, j]
-                        pairs.append((float(values[idx]), np.outer(v, v.conj())))
-                best = max(best, value_for(pairs))
-    return best
+    values, vectors = rho.eigenvalues, rho.eigenvectors
+    total = 0.0
+    for idx in np.argsort(values)[::-1]:
+        if values[idx] <= SUPPORT_TOL:
+            continue
+        v = vectors[:, idx]
+        projected = channel(DensityMatrix(np.outer(v, v.conj())))
+        total += float(values[idx]) * relative_entropy(projected, out, base)
+    return total
 
 
 def holevo_mutual(ensemble: Ensemble, channel: KrausChannel, base=2) -> float:
@@ -261,27 +214,27 @@ def holevo_mutual(ensemble: Ensemble, channel: KrausChannel, base=2) -> float:
     )
 
 
-def exchange_matrix(rho: DensityMatrix, channel: KrausChannel) -> np.ndarray:
-    """W with W_ij = tr(A_i+ rho A_j) / tr(Lambda rho)."""
+def exchange_matrix(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
+    """Exchange state W_ij = tr(A_i rho A_j+) / tr(Lambda rho) (Schumacher 1996).
+
+    The Kraus convention is the channel's, rho -> sum_j A_j rho A_j+, so
+    tr W = tr(Lambda rho) for every trace-preserving channel, unital or not.
+    """
     if rho.dim != channel.dim_in:
         raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
     ops = channel.kraus
     w = np.array(
-        [[np.trace(a.conj().T @ rho.matrix @ b) for b in ops] for a in ops],
+        [[np.trace(a @ rho.matrix @ b.conj().T) for b in ops] for a in ops],
         dtype=np.complex128,
     )
-    out_trace = np.trace(channel(rho).matrix).real
-    w /= out_trace
-    if np.abs(w - w.conj().T).max() > 1e-10 or abs(np.trace(w).real - 1.0) > 1e-10:
-        raise InvariantError("exchange matrix is not a density matrix")
-    if np.linalg.eigvalsh(w).min() < -1e-10:
-        raise InvariantError("exchange matrix is not positive semidefinite")
-    return w
+    # dividing by tr(Lambda rho) rather than tr W lets a W built in the wrong
+    # Kraus convention fail the trace check instead of being renormalised
+    return DensityMatrix(w / np.trace(channel(rho).matrix).real)
 
 
 def entropy_exchange(rho: DensityMatrix, channel: KrausChannel, base=2) -> float:
-    """-tr W log W for the exchange matrix W."""
-    return vn_entropy(DensityMatrix(exchange_matrix(rho, channel)), base)
+    """-tr W log W for the exchange state W."""
+    return vn_entropy(exchange_matrix(rho, channel), base)
 
 
 def coherent_informations(
@@ -293,6 +246,33 @@ def coherent_informations(
     return s_out - s_e, vn_entropy(rho, base) + s_out - s_e
 
 
+def mutual_entropies(rho: DensityMatrix, channel: KrausChannel, base=2) -> dict:
+    """S, S_out, S_e, I1, I2 and I3 of rho through channel, each computed once."""
+    s_rho = vn_entropy(rho, base)
+    s_out = vn_entropy(channel(rho), base)
+    s_e = entropy_exchange(rho, channel, base)
+    return {
+        "S": s_rho,
+        "S_out": s_out,
+        "S_e": s_e,
+        "I1": ohya_mutual(rho, channel, base),
+        "I2": s_out - s_e,
+        "I3": (s_rho + s_out) - s_e,
+    }
+
+
+def theorem7_holds(values: dict, tol: float = 1e-10) -> dict:
+    """Theorem 7's checks on mutual_entropies' values, each within tol.
+
+    For a rank-1 PVM channel: I1 <= min(S, S_out), I2 = 0 and I3 = S.
+    """
+    return {
+        "i1_bounded": values["I1"] <= min(values["S"], values["S_out"]) + tol,
+        "i2_zero": abs(values["I2"]) < tol,
+        "i3_equals_entropy": abs(values["I3"] - values["S"]) < tol,
+    }
+
+
 def theorem7_report(rho: DensityMatrix, channel: KrausChannel, base=2, tol: float = 1e-10) -> dict:
     """Compare the mutual-entropy variants for a rank-1 PVM channel.
 
@@ -301,20 +281,12 @@ def theorem7_report(rho: DensityMatrix, channel: KrausChannel, base=2, tol: floa
     """
     if not channel.is_rank1_pvm():
         raise ValueError("channel is not a rank-1 projection valued measure")
-    s_rho = vn_entropy(rho, base)
-    s_out = vn_entropy(channel(rho), base)
-    i1 = ohya_mutual(rho, channel, base)
-    i2, i3 = coherent_informations(rho, channel, base)
-    checks = {
-        "i1_bounded": i1 <= min(s_rho, s_out) + tol,
-        "i2_zero": abs(i2) < tol,
-        "i3_equals_entropy": abs(i3 - s_rho) < tol,
-    }
+    values = mutual_entropies(rho, channel, base)
     return {
-        "I1": i1,
-        "I2": i2,
-        "I3": i3,
-        "S_rho": s_rho,
-        "S_out": s_out,
-        "inequalities_hold": checks,
+        "I1": values["I1"],
+        "I2": values["I2"],
+        "I3": values["I3"],
+        "S_rho": values["S"],
+        "S_out": values["S_out"],
+        "inequalities_hold": theorem7_holds(values, tol),
     }

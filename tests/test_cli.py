@@ -133,6 +133,16 @@ class TestLindblad:
         code, _ = run(capsys, "lindblad", "--q", "1.0")
         assert code == cli.EXIT_ERROR
 
+    def test_csv_values_are_plain_numbers(self, capsys, tmp_path):
+        csv_path = tmp_path / "traj.csv"
+        code, _ = run(capsys, "lindblad", "--q", "0.03125", "--csv", str(csv_path))
+        assert code == 0
+        header, *rows = csv_path.read_text().splitlines()
+        assert header == "t,p1,abs_c"
+        assert rows
+        for row in rows:
+            assert len([float(token) for token in row.split(",")]) == 3
+
     @pytest.mark.parametrize("grid", [("--t-final", "1e308"), ("--dt", "1e-9")])
     def test_oversized_grid_is_clean_exit(self, capsys, grid):
         # 1e308 / dt overflows to inf; dt = 1e-9 asks for 1e10 steps
@@ -140,6 +150,11 @@ class TestLindblad:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+def cx(matrix):
+    """Nested [re, im] pairs, the spec's entry format."""
+    return [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in np.asarray(matrix)]
 
 
 class TestEntropy:
@@ -162,6 +177,22 @@ class TestEntropy:
         assert payload["I2"] == pytest.approx(0.0, abs=1e-10)
         assert payload["I3"] == pytest.approx(payload["S"], abs=1e-10)
         assert all(payload["theorem7"].values())
+
+    def test_non_unital_channel(self, capsys, tmp_path):
+        gamma = 0.3
+        kraus = [
+            np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+            np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
+        ]
+        spec = {"rho": cx(np.diag([0.4, 0.6])), "channel": {"kraus": [cx(a) for a in kraus]}}
+        path = tmp_path / "entropy.json"
+        path.write_text(json.dumps(spec))
+        code, payload = run(capsys, "entropy", "--in", str(path))
+        assert code == 0
+        assert list(payload) == ["S", "S_out", "S_e", "I1", "I2", "I3"]
+        # W = diag(0.82, 0.18)
+        s_e = -(0.82 * np.log2(0.82) + 0.18 * np.log2(0.18))
+        assert payload["S_e"] == pytest.approx(s_e, abs=1e-12)
 
 
 class TestSolve:
