@@ -60,7 +60,7 @@ def _write_csv(path: str | None, header: str, rows) -> None:
 
 def cmd_oracle(args) -> int:
     instance = _read_instance(args.path)
-    r = cnf.count_satisfying(instance, limit=args.width_cap)
+    r = cnf.count_satisfying(instance)
     _emit({"n": instance.n, "m": instance.m, "r": r, "total_assignments": 2**instance.n})
     return EXIT_SAT if r > 0 else EXIT_UNSAT
 
@@ -77,7 +77,7 @@ def cmd_compile(args) -> int:
             "total_qubits": layout.total,
             "gate_count": len(circuit.sequence.ops),
             "clause_starts": list(layout.s),
-            "circuit": json.loads(sequence_to_json(circuit.sequence)),
+            "circuit": sequence_to_json(circuit.sequence),
         }
     )
     return 0
@@ -125,15 +125,32 @@ def cmd_lindblad(args) -> int:
     return 0
 
 
+def _complex_entries(entries, name: str, rank: int) -> np.ndarray:
+    """A spec array of finite [re, im] pairs as a complex array of the given rank."""
+    try:
+        pairs = np.asarray(entries)
+    except ValueError:
+        raise ValueError(f"{name}: entries must form one rectangular array") from None
+    if pairs.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: entries must be [re, im] pairs of numbers")
+    if pairs.ndim != rank + 1 or pairs.shape[-1] != 2 or 0 in pairs.shape:
+        raise ValueError(f"{name}: expected a rank-{rank} array of [re, im] pairs, "
+                         f"got shape {pairs.shape}")
+    pairs = pairs.astype(np.float64)
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{name}: entries must be finite")
+    return pairs.view(np.complex128)[..., 0]
+
+
 def cmd_entropy(args) -> int:
     with open(args.input) as handle:
         data = json.load(handle)
-
-    def matrix(entries):
-        return np.array([[complex(re, im) for re, im in row] for row in entries])
-
-    rho = entropy.DensityMatrix(matrix(data["rho"]))
-    channel = entropy.KrausChannel(tuple(matrix(k) for k in data["channel"]["kraus"]))
+    try:
+        rho_entries, kraus_entries = data["rho"], data["channel"]["kraus"]
+    except (KeyError, TypeError):
+        raise ValueError("entropy spec needs the keys rho and channel.kraus") from None
+    rho = entropy.DensityMatrix(_complex_entries(rho_entries, "rho", 2))
+    channel = entropy.KrausChannel(_complex_entries(kraus_entries, "channel.kraus", 3))
     base = data.get("base", 2)
     values = entropy.mutual_entropies(rho, channel, base)
     payload = {key: _fmt(value) for key, value in values.items()}
@@ -217,7 +234,10 @@ def cmd_solve(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chaossat")
-    parser.add_argument("--width-cap", type=int, default=simulator.DEFAULT_WIDTH_CAP)
+    parser.add_argument(
+        "--width-cap", type=int, default=simulator.DEFAULT_WIDTH_CAP,
+        help="widest register the dense simulator allocates (the oracle has its own limit)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oracle", help="brute-force satisfying-assignment count")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,23 +154,6 @@ def render_dimacs(instance: CnfInstance) -> str:
         nums = [(-lit.variable if lit.negated else lit.variable) for lit in clause.literals]
         lines.append(" ".join(str(v) for v in nums) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def to_json(instance: CnfInstance) -> str:
-    """Canonical JSON form {"n": int, "clauses": [[signed ints]]}."""
-    clauses = [
-        [(-lit.variable if lit.negated else lit.variable) for lit in clause.literals]
-        for clause in instance.clauses
-    ]
-    return json.dumps({"n": instance.n, "clauses": clauses})
-
-
-def from_json(text: str) -> CnfInstance:
-    data = json.loads(text)
-    clauses = tuple(
-        Clause(tuple(Literal(abs(v), v < 0) for v in clause)) for clause in data["clauses"]
-    )
-    return CnfInstance(int(data["n"]), clauses)
 
 
 def evaluate(instance: CnfInstance, bits) -> int:

@@ -68,67 +68,63 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Trace-preserving channel rho -> sum_j A_j rho A_j+."""
+    """Trace-preserving channel rho -> sum_j A_j rho A_j+.
 
-    kraus: tuple[np.ndarray, ...]
+    ``kraus`` holds the operators stacked as one (K, d_out, d_in) array.
+    """
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(a, dtype=np.complex128) for a in self.kraus)
+        try:
+            ops = np.asarray(self.kraus, dtype=np.complex128)
+        except ValueError:
+            raise InvariantError("Kraus operators must be numeric matrices of one shape") from None
+        if ops.ndim != 3:
+            raise InvariantError(f"expected a (K, d_out, d_in) Kraus stack, got shape {ops.shape}")
         object.__setattr__(self, "kraus", ops)
-        if not ops:
-            raise InvariantError("channel needs at least one Kraus operator")
-        d_in = ops[0].shape[1]
-        total = sum(a.conj().T @ a for a in ops)
-        if np.abs(total - np.eye(d_in)).max() > 1e-10:
+        total = np.einsum("kab,kac->bc", ops.conj(), ops)
+        if np.abs(total - np.eye(self.dim_in)).max() > 1e-10:
             raise InvariantError("Kraus operators must satisfy sum A+ A = I")
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
-        out = sum(a @ rho.matrix @ a.conj().T for a in self.kraus)
-        return DensityMatrix(out)
+        a = self.kraus
+        return DensityMatrix((a @ rho.matrix @ a.conj().transpose(0, 2, 1)).sum(axis=0))
 
     def is_rank1_pvm(self, tol: float = 1e-10) -> bool:
-        """Each operator a rank-1 orthogonal projection, mutually orthogonal."""
+        """d Hermitian trace-1 operators with A_i A_j = delta_ij A_i.
+
+        The product rule covers idempotence and mutual orthogonality at once.
+        """
+        a = self.kraus
         d = self.dim_in
-        if len(self.kraus) != d:
+        if a.shape != (d, d, d):
             return False
-        for a in self.kraus:
-            if a.shape != (d, d):
-                return False
-            if np.abs(a - a.conj().T).max() > tol:
-                return False
-            if np.abs(a @ a - a).max() > tol:
-                return False
-            if abs(np.trace(a).real - 1.0) > tol:
-                return False
-        for i, a in enumerate(self.kraus):
-            for b in self.kraus[i + 1 :]:
-                if np.abs(a @ b).max() > tol:
-                    return False
-        return True
+        products = np.einsum("iab,jbc->ijac", a, a)
+        expected = np.eye(d)[:, :, None, None] * a[:, None]
+        return bool(
+            np.abs(a - a.conj().transpose(0, 2, 1)).max() <= tol
+            and np.abs(np.trace(a, axis1=1, axis2=2).real - 1.0).max() <= tol
+            and np.abs(products - expected).max() <= tol
+        )
 
     @classmethod
     def unitary(cls, u) -> "KrausChannel":
-        return cls((np.asarray(u, dtype=np.complex128),))
+        return cls(np.asarray(u, dtype=np.complex128)[None])
 
     @classmethod
     def pvm_from_basis(cls, vectors) -> "KrausChannel":
         cols = np.asarray(vectors, dtype=np.complex128)
-        return cls(tuple(np.outer(cols[:, j], cols[:, j].conj()) for j in range(cols.shape[1])))
+        return cls(np.einsum("aj,bj->jab", cols, cols.conj()))
 
     @classmethod
     def depolarizing(cls, dim: int) -> "KrausChannel":
-        """Completely depolarizing channel rho -> I/dim."""
-        ops = []
-        for i in range(dim):
-            for j in range(dim):
-                e = np.zeros((dim, dim), dtype=np.complex128)
-                e[i, j] = 1.0 / math.sqrt(dim)
-                ops.append(e)
-        return cls(tuple(ops))
+        """Completely depolarizing channel rho -> I/dim, A_(i,j) = E_ij / sqrt(dim)."""
+        return cls(np.eye(dim * dim).reshape(dim * dim, dim, dim) / math.sqrt(dim))
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,8 @@ def vn_entropy(rho: DensityMatrix, base=2) -> float:
     factor = _log_factor(base)
     values = rho.eigenvalues
     positive = values[values > 0]
-    return float(-(positive * np.log(positive)).sum() / factor)
+    # + 0.0 turns the -0.0 of a pure state into 0.0
+    return float(-(positive * np.log(positive)).sum() / factor) + 0.0
 
 
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix, base=2) -> float:
@@ -195,15 +192,16 @@ def ohya_mutual(rho: DensityMatrix, channel: KrausChannel, base=2) -> float:
     if rho.dim != channel.dim_in:
         raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
     out = channel(rho)
-    values, vectors = rho.eigenvalues, rho.eigenvectors
-    total = 0.0
-    for idx in np.argsort(values)[::-1]:
-        if values[idx] <= SUPPORT_TOL:
-            continue
-        v = vectors[:, idx]
-        projected = channel(DensityMatrix(np.outer(v, v.conj())))
-        total += float(values[idx]) * relative_entropy(projected, out, base)
-    return total
+    values = rho.eigenvalues
+    order = np.argsort(values)[::-1]
+    kept = order[values[order] > SUPPORT_TOL]
+    # Lambda(v v+) = sum_k (A_k v)(A_k v)+ for every kept eigenvector v at once
+    b = channel.kraus @ rho.eigenvectors[:, kept]
+    projected = np.einsum("kan,kbn->nab", b, b.conj())
+    return sum(
+        float(values[n]) * relative_entropy(DensityMatrix(p), out, base)
+        for n, p in zip(kept, projected)
+    )
 
 
 def holevo_mutual(ensemble: Ensemble, channel: KrausChannel, base=2) -> float:
@@ -222,11 +220,8 @@ def exchange_matrix(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     """
     if rho.dim != channel.dim_in:
         raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
-    ops = channel.kraus
-    w = np.array(
-        [[np.trace(a @ rho.matrix @ b.conj().T) for b in ops] for a in ops],
-        dtype=np.complex128,
-    )
+    a = channel.kraus
+    w = np.einsum("iab,bc,jac->ij", a, rho.matrix, a.conj())
     # dividing by tr(Lambda rho) rather than tr W lets a W built in the wrong
     # Kraus convention fail the trace check instead of being renormalised
     return DensityMatrix(w / np.trace(channel(rho).matrix).real)

@@ -9,7 +9,6 @@ effective control values is 1, so every such gate is an involution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -122,18 +121,10 @@ def run_basis(seq: GateSequence, basis_in) -> tuple[int, ...]:
     return bits
 
 
-def sequence_to_json(seq: GateSequence) -> str:
+def sequence_to_json(seq: GateSequence) -> dict:
+    """The sequence as a JSON-ready dict: width and ops with kind, wires and negation flags."""
     ops = [
         {"kind": op.kind, "wires": list(op.wires), "neg": [bool(b) for b in op.negate_controls]}
         for op in seq.ops
     ]
-    return json.dumps({"width": seq.width, "ops": ops})
-
-
-def sequence_from_json(text: str) -> GateSequence:
-    data = json.loads(text)
-    ops = tuple(
-        GateOp(o["kind"], tuple(o["wires"]), tuple(bool(b) for b in o.get("neg", ())))
-        for o in data["ops"]
-    )
-    return GateSequence(int(data["width"]), ops)
+    return {"width": seq.width, "ops": ops}

@@ -47,9 +47,6 @@ class StateVector:
                 f"expected {2**self.width} amplitudes, got shape {self.amps.shape}"
             )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
     """The all-zeros basis state for a layout (or explicit width)."""

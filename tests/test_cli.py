@@ -63,6 +63,26 @@ class TestOracle:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_width_cap_does_not_raise_the_oracle_limit(self, capsys, monkeypatch, tmp_path):
+        # n=30 would need 2**30 indices; the oracle's own limit refuses it first
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle allocated its index array")
+
+        monkeypatch.setattr(cli.cnf.np, "arange", refuse)
+        path = tmp_path / "n30.cnf"
+        path.write_text("p cnf 30 1\n1 30 0\n")
+        assert cli.main(["--width-cap", "40", "oracle", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=30 exceeds brute-force limit 24\n"
+
+    def test_width_cap_does_not_lower_the_oracle_limit(self, capsys, tmp_path):
+        path = tmp_path / "n22.cnf"
+        path.write_text("p cnf 22 1\n1 2 0\n")
+        code, payload = run(capsys, "--width-cap", "20", "oracle", str(path))
+        assert code == cli.EXIT_SAT
+        assert payload["r"] == 3 * 2**20
+
 
 class TestCompile:
     def test_layout_fields(self, capsys, sat_file):
@@ -72,8 +92,14 @@ class TestCompile:
         assert payload["mu"] == 1
         assert payload["total_qubits"] == 4
         assert payload["gate_count"] == 3
-        kinds = [op["kind"] for op in payload["circuit"]["ops"]]
-        assert kinds == ["H_BLOCK", "OR", "COPY"]
+        assert payload["circuit"] == {
+            "width": 4,
+            "ops": [
+                {"kind": "H_BLOCK", "wires": [1, 2], "neg": []},
+                {"kind": "OR", "wires": [1, 2, 3], "neg": [False, False]},
+                {"kind": "COPY", "wires": [3, 4], "neg": []},
+            ],
+        }
 
 
 class TestSimulate:
@@ -193,6 +219,77 @@ class TestEntropy:
         # W = diag(0.82, 0.18)
         s_e = -(0.82 * np.log2(0.82) + 0.18 * np.log2(0.18))
         assert payload["S_e"] == pytest.approx(s_e, abs=1e-12)
+
+
+def write_spec(tmp_path, text):
+    path = tmp_path / "entropy.json"
+    path.write_text(text)
+    return str(path)
+
+
+DIAGONAL_SPEC = {
+    "rho": cx(np.diag([0.75, 0.25])),
+    "channel": {"kraus": [cx(np.diag([1.0, 0.0])), cx(np.diag([0.0, 1.0]))]},
+}
+
+
+class TestEntropySpecErrors:
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (json.dumps(DIAGONAL_SPEC).replace("0.75", "NaN", 1), "rho: entries must be finite"),
+            (json.dumps(DIAGONAL_SPEC).replace("0.75", "Infinity", 1), "must be finite"),
+            (json.dumps({"rho": DIAGONAL_SPEC["rho"]}), "needs the keys"),
+            (json.dumps({"rho": DIAGONAL_SPEC["rho"], "channel": {}}), "needs the keys"),
+            (json.dumps({"channel": DIAGONAL_SPEC["channel"]}), "needs the keys"),
+            (json.dumps([DIAGONAL_SPEC]), "needs the keys"),
+            # a 2x2 and a 1x2 Kraus operator, complete together
+            (
+                json.dumps(
+                    {
+                        "rho": DIAGONAL_SPEC["rho"],
+                        "channel": {
+                            "kraus": [
+                                cx(np.diag([1.0, np.sqrt(0.5)])),
+                                cx([[0.0, np.sqrt(0.5)]]),
+                            ]
+                        },
+                    }
+                ),
+                "channel.kraus: entries must form one rectangular array",
+            ),
+            (
+                json.dumps({**DIAGONAL_SPEC, "rho": [[0.75, 0.0], [0.0, 0.25]]}),
+                "rho: expected a rank-2 array of [re, im] pairs",
+            ),
+            (
+                json.dumps({**DIAGONAL_SPEC, "rho": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}),
+                "rho: entries must be [re, im] pairs of numbers",
+            ),
+            (
+                json.dumps({**DIAGONAL_SPEC, "channel": {"kraus": []}}),
+                "channel.kraus: expected a rank-3 array",
+            ),
+        ],
+        ids=[
+            "nan", "inf", "no-channel", "no-kraus", "no-rho", "not-an-object",
+            "ragged-kraus", "real-entries", "string-entry", "no-operators",
+        ],
+    )
+    def test_bad_spec_is_clean_exit(self, capsys, tmp_path, text, reason):
+        assert cli.main(["entropy", "--in", write_spec(tmp_path, text)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_pure_state_entropy_is_positive_zero(self, capsys, tmp_path):
+        spec = {**DIAGONAL_SPEC, "rho": cx(np.diag([1.0, 0.0]))}
+        assert cli.main(["entropy", "--in", write_spec(tmp_path, json.dumps(spec))]) == 0
+        out = capsys.readouterr().out
+        assert '"S": 0.0,' in out
+        assert "-0.0" not in out
 
 
 class TestSolve:

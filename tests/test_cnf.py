@@ -140,12 +140,6 @@ def test_dimacs_round_trip(inst):
     assert cnf.parse_dimacs(cnf.render_dimacs(inst)) == inst
 
 
-@settings(max_examples=100, deadline=None)
-@given(instances())
-def test_json_round_trip(inst):
-    assert cnf.from_json(cnf.to_json(inst)) == inst
-
-
 @settings(max_examples=50, deadline=None)
 @given(instances(), st.integers(0, 2**5 - 1))
 def test_adding_satisfied_literal_is_monotone(inst, idx):

@@ -137,6 +137,94 @@ class TestKrausChannel:
         assert not KrausChannel.depolarizing(2).is_rank1_pvm()
 
 
+# the per-operator loops the stacked channel replaced, kept as references
+def loop_apply(ops, rho):
+    return sum(a @ rho.matrix @ a.conj().T for a in ops)
+
+
+def loop_exchange(ops, rho):
+    w = np.array([[np.trace(a @ rho.matrix @ b.conj().T) for b in ops] for a in ops])
+    return w / np.trace(loop_apply(ops, rho)).real
+
+
+def loop_ohya(ops, rho):
+    out = DensityMatrix(loop_apply(ops, rho))
+    values, vectors = rho.eigenvalues, rho.eigenvectors
+    total = 0.0
+    for idx in np.argsort(values)[::-1]:
+        if values[idx] <= entropy.SUPPORT_TOL:
+            continue
+        v = vectors[:, idx]
+        projected = DensityMatrix(loop_apply(ops, DensityMatrix(np.outer(v, v.conj()))))
+        total += float(values[idx]) * entropy.relative_entropy(projected, out)
+    return total
+
+
+def loop_is_rank1_pvm(ops, tol=1e-10):
+    d = ops[0].shape[1]
+    if len(ops) != d:
+        return False
+    for a in ops:
+        if a.shape != (d, d):
+            return False
+        if np.abs(a - a.conj().T).max() > tol:
+            return False
+        if np.abs(a @ a - a).max() > tol:
+            return False
+        if abs(np.trace(a).real - 1.0) > tol:
+            return False
+    for i, a in enumerate(ops):
+        for b in ops[i + 1 :]:
+            if np.abs(a @ b).max() > tol:
+                return False
+    return True
+
+
+CHANNEL_MAKERS = {
+    "pvm": lambda rng, d: KrausChannel.pvm_from_basis(random_unitary(rng, d)),
+    "unitary": lambda rng, d: KrausChannel.unitary(random_unitary(rng, d)),
+    "depolarizing": lambda rng, d: KrausChannel.depolarizing(d),
+    "amplitude-damping": lambda rng, d: amplitude_damping(rng.uniform(0.05, 0.95)),
+    "isometric-k2": lambda rng, d: random_isometric_channel(rng, d, 2),
+    "isometric-kd": lambda rng, d: random_isometric_channel(rng, d, d),
+}
+
+
+class TestStackedChannelMatchesLoops:
+    @pytest.mark.parametrize("kind", list(CHANNEL_MAKERS))
+    def test_matches_per_operator_loops(self, kind):
+        rng = np.random.default_rng(29)
+        dims = (2,) if kind == "amplitude-damping" else (2, 3, 4)
+        for dim in dims:
+            # full rank, and rank 1 so that ohya_mutual drops zero modes
+            for rank in (dim, dim, 1, 1):
+                rho = random_density(rng, dim, rank)
+                channel = CHANNEL_MAKERS[kind](rng, dim)
+                ops = list(channel.kraus)
+                assert channel.kraus.shape == (len(ops), dim, dim)
+                assert channel.kraus.dtype == np.complex128
+                out = channel(rho).matrix
+                assert np.abs(out - loop_apply(ops, rho)).max() < 1e-14
+                w = entropy.exchange_matrix(rho, channel).matrix
+                assert np.abs(w - loop_exchange(ops, rho)).max() < 1e-14
+                assert abs(entropy.ohya_mutual(rho, channel) - loop_ohya(ops, rho)) < 1e-14
+                assert channel.is_rank1_pvm() == loop_is_rank1_pvm(ops)
+                assert channel.is_rank1_pvm() == (kind == "pvm")
+
+    def test_zero_operator_beside_a_rank2_projector_is_not_rank1(self):
+        # {I, 0} passes the product rule A_i A_j = delta_ij A_i; only the trace fails
+        ops = [np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))]
+        assert KrausChannel(tuple(ops)).is_rank1_pvm() is loop_is_rank1_pvm(ops) is False
+
+    def test_ragged_operators_rejected(self):
+        # complete together (diag(1, 1/2) + diag(0, 1/2) = I), but a 1x2
+        # operator cannot share a channel with a 2x2 one
+        with pytest.raises(InvariantError):
+            KrausChannel(
+                (np.diag([1.0, math.sqrt(0.5)]), np.array([[0.0, math.sqrt(0.5)]]))
+            )
+
+
 class TestOhyaMutual:
     def test_identity_channel_gives_input_entropy(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]))

@@ -87,12 +87,3 @@ class TestEmbeddingIdentities:
         for bits in product((0, 1), repeat=2):
             assert gates.gate_semantics(GateOp("COPY", (1, 2)), bits) == \
                 gates.gate_semantics(GateOp("CN", (1, 2)), bits)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        seq = GateSequence(3, (
-            GateOp("H_BLOCK", (1, 2)),
-            GateOp("OR", (1, 2, 3), (True, False)),
-        ))
-        assert gates.sequence_from_json(gates.sequence_to_json(seq)) == seq

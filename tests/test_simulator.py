@@ -66,7 +66,7 @@ class TestApply:
             state = simulator.apply(
                 state, GateSequence(circuit.layout.total, (op,))
             )
-            assert abs(state.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
 
 
 class TestSuccessProbability:
