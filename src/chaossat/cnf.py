@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_BRUTE_FORCE_LIMIT = 24
+# count_satisfying enumerates 2**_CHUNK_LOG2 assignments at a time (128 KiB per plane)
+_CHUNK_LOG2 = 20
+_ONES = (1 << 64) - 1
+# _WORD_PATTERNS[s] has bit j set where bit s of j is set, for j < 64
+_WORD_PATTERNS = tuple(sum(1 << j for j in range(64) if j >> s & 1) for s in range(6))
 
 
 class DimacsParseError(ValueError):
@@ -173,20 +178,47 @@ def count_satisfying(instance: CnfInstance, limit: int = DEFAULT_BRUTE_FORCE_LIM
     """Number of satisfying assignments, by exhaustive enumeration.
 
     Bit k of the assignment index is variable k read from the most
-    significant position, matching the simulator's qubit ordering.
+    significant position, matching the simulator's qubit ordering.  The
+    indices are enumerated in chunks of 2**_CHUNK_LOG2, each held as
+    packed 64-bit words: index bit s is variable n - s, a plane of words
+    for the low bits and one constant per chunk for the high bits, so
+    memory does not grow with n.
     """
     n = instance.n
     if n > limit:
         raise BruteForceLimitError(f"n={n} exceeds brute-force limit {limit}")
-    indices = np.arange(2**n, dtype=np.uint32)
-    sat = np.ones(2**n, dtype=bool)
-    for clause in instance.clauses:
-        clause_sat = np.zeros(2**n, dtype=bool)
-        for lit in clause.literals:
-            bit = (indices >> (n - lit.variable)) & 1
-            clause_sat |= (bit == 0) if lit.negated else (bit == 1)
-        sat &= clause_sat
-    return int(np.count_nonzero(sat))
+    low = min(n, _CHUNK_LOG2)
+    words = max(1, 2**low // 64)
+    planes = [_plane(s, words) for s in range(low)]
+    total = 0
+    for chunk in range(2 ** (n - low)):
+        sat = np.full(words, _ONES, dtype=np.uint64)
+        for clause in instance.clauses:
+            value = np.zeros(words, dtype=np.uint64)
+            for lit in clause.literals:
+                s = n - lit.variable
+                if s < low:
+                    value |= ~planes[s] if lit.negated else planes[s]
+                elif (chunk >> (s - low) & 1) ^ lit.negated:
+                    break  # a high literal true on the whole chunk satisfies the clause
+            else:
+                sat &= value
+        if low < 6:
+            sat &= np.uint64((1 << 2**low) - 1)  # one partial word
+        total += int.from_bytes(sat.tobytes(), "little").bit_count()
+    return total
+
+
+def _plane(s: int, words: int) -> np.ndarray:
+    """Bit s of the indices 0 .. 64 * words - 1, packed into 64-bit words.
+
+    For s < 6 every word is the same pattern; for s >= 6 each word is all
+    ones or all zeros.
+    """
+    if s < 6:
+        return np.full(words, _WORD_PATTERNS[s], dtype=np.uint64)
+    halves = np.repeat(np.array([0, _ONES], dtype=np.uint64), 2 ** (s - 6))
+    return np.tile(halves, words // halves.size)
 
 
 def assignment_from_index(index: int, n: int) -> tuple[int, ...]:

@@ -101,24 +101,15 @@ class GateSequence:
                 raise ValueError(f"gate {op} exceeds width {self.width}")
 
 
-def gate_semantics(op: GateOp, basis_in) -> tuple[int, ...]:
-    """Action of a classical gate on a basis bit vector (full register width)."""
-    bits = list(basis_in)
-    if max(op.wires) > len(bits):
-        raise ValueError(f"gate {op} does not fit input of width {len(bits)}")
-    if tuple(bits[w - 1] for w in op.controls) in op.flip_patterns():
-        bits[op.target - 1] ^= 1
-    return tuple(bits)
-
-
 def run_basis(seq: GateSequence, basis_in) -> tuple[int, ...]:
     """Propagate a basis state through a sequence of classical gates."""
-    bits = tuple(basis_in)
+    bits = list(basis_in)
     if len(bits) != seq.width:
         raise ValueError(f"input width {len(bits)} != sequence width {seq.width}")
     for op in seq.ops:
-        bits = gate_semantics(op, bits)
-    return bits
+        if tuple(bits[w - 1] for w in op.controls) in op.flip_patterns():
+            bits[op.target - 1] ^= 1
+    return tuple(bits)
 
 
 def sequence_to_json(seq: GateSequence) -> dict:

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,13 @@ from chaossat.cnf import (
 
 def clause(*nums):
     return Clause(tuple(Literal(abs(v), v < 0) for v in nums))
+
+
+def direct_count(inst):
+    """The model count from evaluate, one assignment at a time."""
+    return sum(
+        cnf.evaluate(inst, cnf.assignment_from_index(i, inst.n)) for i in range(2**inst.n)
+    )
 
 
 class TestParseDimacs:
@@ -105,16 +115,12 @@ class TestCountSatisfying:
 
         for _ in range(25):
             inst = random_instance(rng, max_vars=6, max_clauses=6)
-            direct = sum(
-                cnf.evaluate(inst, cnf.assignment_from_index(i, inst.n))
-                for i in range(2**inst.n)
-            )
-            assert cnf.count_satisfying(inst) == direct
+            assert cnf.count_satisfying(inst) == direct_count(inst)
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 5))
+def instances(draw, min_n=1, max_n=5):
+    n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(1, 5))
     clauses = []
     for _ in range(m):
@@ -154,3 +160,70 @@ def test_adding_satisfied_literal_is_monotone(inst, idx):
             grown = CnfInstance(inst.n, (extended,) + inst.clauses[1:])
             assert cnf.evaluate(grown, bits) >= before
             break
+
+
+class TestPackedPlanes:
+    """count_satisfying's packed planes against evaluate, one assignment at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances(max_n=10))
+    def test_count_matches_evaluate(self, inst):
+        # n < 6 is one partial word, n = 6 exactly one word
+        assert cnf.count_satisfying(inst) == direct_count(inst)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances(min_n=7, max_n=10))
+    def test_count_matches_evaluate_across_chunks(self, inst):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cnf, "_CHUNK_LOG2", 6)
+            assert cnf.count_satisfying(inst) == direct_count(inst)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_low_planes_match_assignment_bits(self, n):
+        words = max(1, 2**n // 64)
+        for variable in range(1, n + 1):
+            plane = cnf._plane(n - variable, words)
+            packed = sum(int(word) << (64 * k) for k, word in enumerate(plane))
+            for index in range(2**n):
+                bit = cnf.assignment_from_index(index, n)[variable - 1]
+                assert (packed >> index) & 1 == bit
+
+    def test_count_at_the_limit_is_exact_int(self):
+        # variables 1 and 2 are constant within each chunk, variable 24 is a plane
+        inst = CnfInstance(24, (clause(1, -24), clause(-1, 2)))
+        r = cnf.count_satisfying(inst)
+        assert type(r) is int
+        assert r == 2**23
+
+    def test_memory_is_bounded(self):
+        rng = random.Random(22)
+        n, m = 22, 92
+        inst = CnfInstance(n, tuple(
+            clause(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)))
+            for _ in range(m)
+        ))
+        tracemalloc.start()
+        try:
+            cnf.count_satisfying(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(
+        st.sampled_from(["p", "cnf", "c", "%", "0", "1", "-1", "2", "-3", "x", "", "\n", " "]),
+        max_size=30,
+    ).map(" ".join),
+    st.lists(st.integers(-4, 4).map(str), max_size=20).map(
+        lambda tokens: "p cnf 3 2\n" + " ".join(tokens)
+    ),
+))
+def test_parse_dimacs_raises_only_parse_errors(text):
+    try:
+        cnf.parse_dimacs(text)
+    except DimacsParseError:
+        pass
