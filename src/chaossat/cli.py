@@ -26,12 +26,6 @@ EXIT_ERROR = 1
 EXIT_DISAGREEMENT = 2
 
 
-def _fmt(value: float) -> float:
-    # float round-trips through repr; json.dumps uses repr, which is
-    # shortest-exact (17 significant digits when needed)
-    return float(value)
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -65,41 +59,53 @@ def cmd_oracle(args) -> int:
     return EXIT_SAT if r > 0 else EXIT_UNSAT
 
 
+def _sizes(instance: cnf.CnfInstance, circuit: compiler.CompiledCircuit) -> dict:
+    """The size keys that compile and solve both report, in their order."""
+    layout = circuit.layout
+    return {
+        "n": layout.n,
+        "m": instance.m,
+        "mu": layout.mu,
+        "total_qubits": layout.total,
+        "gate_count": len(circuit.sequence.ops),
+    }
+
+
 def cmd_compile(args) -> int:
     instance = _read_instance(args.path)
     circuit = compiler.compile(instance)
-    layout = circuit.layout
     _emit(
         {
-            "n": layout.n,
-            "m": instance.m,
-            "mu": layout.mu,
-            "total_qubits": layout.total,
-            "gate_count": len(circuit.sequence.ops),
-            "clause_starts": list(layout.s),
+            **_sizes(instance, circuit),
+            "clause_starts": list(circuit.layout.s),
             "circuit": sequence_to_json(circuit.sequence),
         }
     )
     return 0
 
 
+def _simulate(circuit: compiler.CompiledCircuit, cap: int) -> tuple[simulator.StateVector, float]:
+    """The circuit applied to the all-zeros state, and its success probability."""
+    state = simulator.init_state(circuit.layout, cap=cap)
+    state = simulator.apply(state, circuit.sequence)
+    return state, simulator.success_probability(state, circuit.layout)
+
+
 def cmd_simulate(args) -> int:
     instance = _read_instance(args.path)
     circuit = compiler.compile(instance)
     layout = circuit.layout
-    state = simulator.init_state(layout, cap=args.width_cap)
-    state = simulator.apply(state, circuit.sequence)
-    probability = simulator.success_probability(state, layout)
+    if args.dump_amplitudes and layout.total > 12:
+        print("amplitude dump capped at width 12", file=sys.stderr)
+        return EXIT_ERROR
+    state, probability = _simulate(circuit, args.width_cap)
     payload = {
-        "probability": _fmt(probability),
-        "r_inferred": _fmt(probability * 2**layout.n),
+        "probability": probability,
+        "r_inferred": probability * 2**layout.n,
         "layout": {"n": layout.n, "mu": layout.mu, "total": layout.total},
     }
     if args.dump_amplitudes:
-        if layout.total > 12:
-            print("amplitude dump capped at width 12", file=sys.stderr)
-            return EXIT_ERROR
-        payload["amplitudes"] = [[_fmt(a.real), _fmt(a.imag)] for a in state.amps]
+        payload["amplitudes"] = [[float(a.real), float(a.imag)] for a in state.amps]
     _emit(payload)
     return 0
 
@@ -153,7 +159,7 @@ def cmd_entropy(args) -> int:
     channel = entropy.KrausChannel(_complex_entries(kraus_entries, "channel.kraus", 3))
     base = data.get("base", 2)
     values = entropy.mutual_entropies(rho, channel, base)
-    payload = {key: _fmt(value) for key, value in values.items()}
+    payload = {key: float(value) for key, value in values.items()}
     if channel.is_rank1_pvm():
         payload["theorem7"] = entropy.theorem7_holds(values)
     _emit(payload)
@@ -162,41 +168,25 @@ def cmd_entropy(args) -> int:
 
 def cmd_solve(args) -> int:
     timings = {}
-    start = time.perf_counter()
-    instance = _read_instance(args.path)
-    timings["parse"] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    r = cnf.count_satisfying(instance)
-    timings["oracle"] = time.perf_counter() - start
+    def timed(stage, func, *func_args):
+        start = time.perf_counter()
+        result = func(*func_args)
+        timings[stage] = time.perf_counter() - start
+        return result
 
-    start = time.perf_counter()
-    circuit = compiler.compile(instance)
-    layout = circuit.layout
-    timings["compile"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    state = simulator.init_state(layout, cap=args.width_cap)
-    state = simulator.apply(state, circuit.sequence)
-    probability = simulator.success_probability(state, layout)
-    timings["simulate"] = time.perf_counter() - start
-
-    steps = args.steps if args.steps is not None else 2 * instance.n
-    report = {
-        "n": instance.n,
-        "m": instance.m,
-        "mu": layout.mu,
-        "total_qubits": layout.total,
-        "gate_count": len(circuit.sequence.ops),
-        "r": r,
-        "probability": _fmt(probability),
-    }
+    instance = timed("parse", _read_instance, args.path)
+    r = timed("oracle", cnf.count_satisfying, instance)
+    circuit = timed("compile", compiler.compile, instance)
+    _, probability = timed("simulate", _simulate, circuit, args.width_cap)
+    report = {**_sizes(instance, circuit), "r": r, "probability": probability}
     verdicts = []
     if args.engine in ("chaos", "both"):
-        start = time.perf_counter()
-        params = amplifier.LogisticParams(a=args.a, max_steps=steps)
-        decision, trajectory = amplifier.decide_sat(probability, params)
-        timings["amplify"] = time.perf_counter() - start
+        if args.steps is None:
+            params = amplifier.params_for_instance(instance.n, a=args.a)
+        else:
+            params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
+        decision, trajectory = timed("amplify", amplifier.decide_sat, probability, params)
         report["chaos"] = {
             "decision": decision,
             "first_crossing": trajectory.first_crossing,
@@ -206,30 +196,27 @@ def cmd_solve(args) -> int:
         q = float(np.sqrt(probability))
         if q >= 1.0 - 1e-12:  # simulated tautologies round to just under 1
             report["lindblad"] = {"decision": "unsupported", "reason": "q = 1"}
-            if args.engine == "lindblad":
-                report["status"] = "FAILED"
-                _emit({**report, "timings": timings})
-                return EXIT_ERROR
         else:
-            start = time.perf_counter()
             gamma = complex(args.gamma_re, args.gamma_im)
-            decision, classification, _ = lindblad.discriminate(q, gamma)
-            timings["lindblad"] = time.perf_counter() - start
+            decision, classification, _ = timed("lindblad", lindblad.discriminate, q, gamma)
             report["lindblad"] = {
                 "decision": decision,
                 "classification": classification,
             }
             verdicts.append("SAT" if decision == "q_nonzero" else "UNSAT")
-    report["timings"] = {k: _fmt(v) for k, v in timings.items()}
+    report["timings"] = timings
 
     expected = "SAT" if r > 0 else "UNSAT"
-    if any(v != expected for v in verdicts):
-        report["status"] = "FAILED"
-        _emit(report)
-        return EXIT_DISAGREEMENT
-    report["status"] = expected
+    report["status"] = "FAILED"
+    if not verdicts:  # the only engine asked for could not decide
+        code = EXIT_ERROR
+    elif any(v != expected for v in verdicts):
+        code = EXIT_DISAGREEMENT
+    else:
+        report["status"] = expected
+        code = EXIT_SAT if r > 0 else EXIT_UNSAT
     _emit(report)
-    return EXIT_SAT if expected == "SAT" else EXIT_UNSAT
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

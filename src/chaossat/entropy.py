@@ -222,9 +222,9 @@ def exchange_matrix(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
         raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
     a = channel.kraus
     w = np.einsum("iab,bc,jac->ij", a, rho.matrix, a.conj())
-    # dividing by tr(Lambda rho) rather than tr W lets a W built in the wrong
-    # Kraus convention fail the trace check instead of being renormalised
-    return DensityMatrix(w / np.trace(channel(rho).matrix).real)
+    # dividing by tr(Lambda rho), summed apart from W, lets a W built in the
+    # wrong Kraus convention fail the trace check instead of being renormalised
+    return DensityMatrix(w / np.einsum("kab,bc,kac->", a, rho.matrix, a.conj()).real)
 
 
 def entropy_exchange(rho: DensityMatrix, channel: KrausChannel, base=2) -> float:

@@ -116,6 +116,20 @@ class TestSimulate:
         amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
         assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
 
+    def test_amplitude_dump_over_width_12_is_refused_before_simulating(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_state(*args, **kwargs):
+            pytest.fail("the dense state was allocated before the dump limit was checked")
+
+        monkeypatch.setattr(cli.simulator, "init_state", no_state)
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 7 3\n1 2 3 0\n-4 5 6 0\n7 -1 0\n")
+        assert cli.main(["simulate", str(path), "--dump-amplitudes"]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "amplitude dump capped at width 12\n"
+
 
 class TestAmplify:
     def test_sat_decision(self, capsys):
@@ -319,6 +333,24 @@ class TestSolve:
         code, payload = run(capsys, "solve", str(path), "--engine", "lindblad")
         assert code == cli.EXIT_ERROR
         assert payload["lindblad"] == {"decision": "unsupported", "reason": "q = 1"}
+        assert payload["status"] == "FAILED"
+        assert "lindblad" not in payload["timings"]
+
+    def test_engine_disagreement_exits_2(self, capsys, monkeypatch, sat_file):
+        def always_unsat(q_squared, params):
+            return "UNSAT", cli.amplifier.ChaosTrajectory((q_squared,), None)
+
+        monkeypatch.setattr(cli.amplifier, "decide_sat", always_unsat)
+        code, payload = run(capsys, "solve", sat_file)
+        assert code == cli.EXIT_DISAGREEMENT
+        assert payload["status"] == "FAILED"
+        assert payload["r"] == 3
+
+    def test_timings_per_stage(self, capsys, sat_file):
+        _, payload = run(capsys, "solve", sat_file, "--engine", "both")
+        timings = payload["timings"]
+        assert list(timings) == ["parse", "oracle", "compile", "simulate", "amplify", "lindblad"]
+        assert all(isinstance(t, float) and t >= 0 for t in timings.values())
 
     def test_seed_option_removed(self, capsys, sat_file):
         with pytest.raises(SystemExit) as exit_info:
