@@ -191,7 +191,11 @@ def ohya_mutual(rho: DensityMatrix, channel: KrausChannel, base=2) -> float:
     """
     if rho.dim != channel.dim_in:
         raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
-    out = channel(rho)
+    return _ohya_mutual(rho, channel, channel(rho), base)
+
+
+def _ohya_mutual(rho: DensityMatrix, channel: KrausChannel, out: DensityMatrix, base) -> float:
+    """ohya_mutual with the output state out = channel(rho) already built."""
     values = rho.eigenvalues
     order = np.argsort(values)[::-1]
     kept = order[values[order] > SUPPORT_TOL]
@@ -244,13 +248,14 @@ def coherent_informations(
 def mutual_entropies(rho: DensityMatrix, channel: KrausChannel, base=2) -> dict:
     """S, S_out, S_e, I1, I2 and I3 of rho through channel, each computed once."""
     s_rho = vn_entropy(rho, base)
-    s_out = vn_entropy(channel(rho), base)
+    out = channel(rho)
+    s_out = vn_entropy(out, base)
     s_e = entropy_exchange(rho, channel, base)
     return {
         "S": s_rho,
         "S_out": s_out,
         "S_e": s_e,
-        "I1": ohya_mutual(rho, channel, base),
+        "I1": _ohya_mutual(rho, channel, out, base),
         "I2": s_out - s_e,
         "I3": (s_rho + s_out) - s_e,
     }

@@ -1,10 +1,15 @@
-"""Dense state-vector engine with bit-indexed gate application.
+"""Dense state-vector engine that visits only the nonzero amplitudes.
 
 Qubit 1 is the most significant bit of the amplitude index, so the
-register reads left to right like a tensor product.  A classical gate
-swaps the target-axis halves of one numpy view per control pattern on
-which the gate table flips the target; only the Hadamard block mixes
-amplitudes.
+register reads left to right like a tensor product.  The state stays a
+dense 2^width vector, but ``apply`` works on its support: the indices
+whose amplitude has any bit set (so -0.0 counts), found by one scan.  A
+classical gate XORs its target bit into the support indices whose
+control bits match a pattern on which the gate table flips the target,
+and moves those amplitudes.  Only the Hadamard block mixes amplitudes:
+each wire pairs every support index with its partner across that wire,
+present in the support or not.  The results are bit for bit those of a
+pass over the whole register.
 """
 
 from __future__ import annotations
@@ -57,49 +62,55 @@ def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> State
     return StateVector(width, amps)
 
 
-def _halves(view: np.ndarray, axis: int, fixed=()) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the axis-0 and axis-1 halves of the subarray that fixed selects.
-
-    fixed holds (axis, value) pairs.  The target axis is sliced, never
-    indexed, so each half stays a view even when every other axis is fixed;
-    the fixed axes are indexed with integers, which is faster to write
-    through than slicing them too.
-    """
-    index = [slice(None)] * view.ndim
-    for fixed_axis, value in fixed:
-        index[fixed_axis] = value
-    index[axis] = slice(0, 1)
-    half0 = view[tuple(index)]
-    index[axis] = slice(1, 2)
-    return half0, view[tuple(index)]
-
-
-def _apply_op(view: np.ndarray, op: GateOp) -> None:
-    if op.kind == "H_BLOCK":
-        for wire in op.wires:
-            a0, a1 = _halves(view, wire - 1)
-            # a0 is overwritten first, so keep a copy; forms without one were
-            # faster at width 20 but slower at width 14 (solve-probe)
-            a0c = a0.copy()
-            np.multiply(a0c + a1, _SQRT1_2, out=a0)
-            np.multiply(a0c - a1, _SQRT1_2, out=a1)
-        return
-    controls = [w - 1 for w in op.controls]
-    for pattern in op.flip_patterns():
-        h0, h1 = _halves(view, op.target - 1, zip(controls, pattern))
-        tmp = h0.copy()
-        h0[...] = h1
-        h1[...] = tmp
+def _live(words: np.ndarray) -> np.ndarray:
+    """Mask of the (real, imag) word pairs with any bit set, so -0.0 is live."""
+    return (words[..., 0] | words[..., 1]) != 0
 
 
 def apply(state: StateVector, seq: GateSequence) -> StateVector:
-    """Run a gate sequence, returning a new state."""
+    """Run a gate sequence, returning a new state.
+
+    Only the support, the indices whose amplitude has any bit set, is
+    visited: every index outside it holds +0.0 in the input and, since a
+    gate maps +0.0 pairs to +0.0, in the output too.
+    """
     if seq.width != state.width:
         raise ValueError(f"sequence width {seq.width} != state width {state.width}")
-    out = state.amps.copy()
-    view = out.reshape((2,) * state.width)
+    support = np.flatnonzero(_live(state.amps.view(np.uint64).reshape(-1, 2)))
+    out = np.zeros_like(state.amps)
+    out[support] = state.amps[support]
+    words = out.view(np.uint64).reshape(-1, 2)
     for op in seq.ops:
-        _apply_op(view, op)
+        if op.kind == "H_BLOCK":
+            for wire in op.wires:
+                bit = 1 << (state.width - wire)
+                support = support[_live(words[support])]
+                partner = support ^ bit
+                high = (support & bit) != 0
+                # a live upper index whose lower partner is +0.0 still pairs
+                lower = np.concatenate(
+                    (support[~high], partner[high & ~_live(words[partner])])
+                )
+                upper = lower | bit
+                a0, a1 = out[lower], out[upper]
+                out[lower] = (a0 + a1) * _SQRT1_2
+                out[upper] = (a0 - a1) * _SQRT1_2
+                support = np.concatenate((lower, upper))
+            continue
+        key = np.zeros_like(support)
+        for wire in op.controls:
+            key = (key << 1) | ((support >> (state.width - wire)) & 1)
+        flips = np.zeros((2,) * len(op.controls), dtype=bool)
+        for pattern in op.flip_patterns():
+            flips[pattern] = True
+        moved = flips.reshape(-1)[key]
+        source = support[moved]
+        target = source ^ (1 << (state.width - op.target))
+        # a target is a source too (the controls exclude the target wire) or
+        # lies outside the support and holds +0.0, so this one swap also
+        # zeroes every source whose target was empty
+        out[np.concatenate((source, target))] = out[np.concatenate((target, source))]
+        support[moved] = target
     return StateVector(state.width, out)
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import PERMUTATION_KINDS, ops_of_kind, random_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaossat import cnf, compiler, gates, simulator
 from chaossat.cnf import Clause, CnfInstance, Literal
@@ -125,3 +127,110 @@ class TestGateTable:
                 assert np.count_nonzero(once.amps) == 1
                 assert np.array_equal(simulator.apply(once, seq).amps, start.amps)
                 assert gates.run_basis(seq, image) == bits
+
+
+# the dense engine that simulator.apply replaced, which works on every
+# amplitude through views of the register, kept as the reference
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+
+def _halves(view, axis, fixed=()):
+    index = [slice(None)] * view.ndim
+    for fixed_axis, value in fixed:
+        index[fixed_axis] = value
+    index[axis] = slice(0, 1)
+    half0 = view[tuple(index)]
+    index[axis] = slice(1, 2)
+    return half0, view[tuple(index)]
+
+
+def reference_apply(state, seq):
+    out = state.amps.copy()
+    view = out.reshape((2,) * state.width)
+    for op in seq.ops:
+        if op.kind == "H_BLOCK":
+            for wire in op.wires:
+                a0, a1 = _halves(view, wire - 1)
+                a0c = a0.copy()
+                np.multiply(a0c + a1, _SQRT1_2, out=a0)
+                np.multiply(a0c - a1, _SQRT1_2, out=a1)
+            continue
+        controls = [w - 1 for w in op.controls]
+        for pattern in op.flip_patterns():
+            h0, h1 = _halves(view, op.target - 1, zip(controls, pattern))
+            tmp = h0.copy()
+            h0[...] = h1
+            h1[...] = tmp
+    return out
+
+
+# signed zeros are drawn often: the support is defined by bits, not by value
+PARTS = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def states(draw, width):
+    size = 2**width
+    support = draw(st.one_of(
+        st.just(()),
+        st.integers(0, size - 1).map(lambda index: (index,)),
+        st.lists(st.integers(0, size - 1), unique=True),
+        st.just(range(size)),
+    ))
+    amps = np.zeros(size, dtype=np.complex128)
+    for index in support:
+        amps[index] = complex(draw(PARTS), draw(PARTS))
+    return simulator.StateVector(width, amps)
+
+
+@st.composite
+def gate_ops(draw, width):
+    kind = draw(st.sampled_from(
+        [kind for kind, (arity, _) in gates.SEMANTICS.items() if (arity or 1) <= width]
+    ))
+    if kind == "H_BLOCK":
+        return GateOp(kind, tuple(draw(st.lists(st.integers(1, width), min_size=1, unique=True))))
+    arity = gates.SEMANTICS[kind][0]
+    wires = draw(st.lists(st.integers(1, width), min_size=arity, max_size=arity, unique=True))
+    target = max(wires)  # controls may come in any order, but before the target
+    wires = [wire for wire in wires if wire != target] + [target]
+    flags = draw(st.lists(st.booleans(), min_size=arity - 1, max_size=arity - 1))
+    return GateOp(kind, tuple(wires), tuple(flags))
+
+
+@st.composite
+def circuits(draw):
+    width = draw(st.integers(1, 5))
+    ops = tuple(draw(st.lists(gate_ops(width), max_size=8)))
+    return draw(states(width)), GateSequence(width, ops)
+
+
+class TestSupportEngine:
+    """simulator.apply against the dense reference, compared byte for byte."""
+
+    @pytest.mark.parametrize("kind", PERMUTATION_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(state=states(4))
+    def test_permutation_matches_reference(self, kind, state):
+        for op in ops_of_kind(kind):
+            seq = GateSequence(4, (op,))
+            assert simulator.apply(state, seq).amps.tobytes() == reference_apply(state, seq).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 5))
+    def test_h_block_matches_reference(self, data, width):
+        state = data.draw(states(width))
+        wires = data.draw(st.lists(st.integers(1, width), min_size=1, unique=True))
+        seq = GateSequence(width, (GateOp("H_BLOCK", tuple(wires)),))
+        assert simulator.apply(state, seq).amps.tobytes() == reference_apply(state, seq).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(circuit=circuits(), data=st.data())
+    def test_sequence_whole_and_split(self, circuit, data):
+        state, seq = circuit
+        expected = reference_apply(state, seq).tobytes()
+        assert simulator.apply(state, seq).amps.tobytes() == expected
+        k = data.draw(st.integers(0, len(seq.ops)))
+        head = simulator.apply(state, GateSequence(seq.width, seq.ops[:k]))
+        tail = simulator.apply(head, GateSequence(seq.width, seq.ops[k:]))
+        assert tail.amps.tobytes() == expected
