@@ -27,6 +27,8 @@ class LogisticParams:
             raise ValueError(f"map parameter must lie in [0, 4], got {self.a}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if not 0.0 <= self.threshold < 1.0:
+            raise ValueError(f"threshold must lie in [0, 1), got {self.threshold}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Subcommands expose each stage (oracle, compile, simulate, amplify,
 lindblad, entropy) and `solve` runs the full pipeline: parse, compile,
 simulate, extract q^2 and decide satisfiability with the selected
 discriminator.  Exit codes follow the SAT-solver convention: 10 SAT,
-20 UNSAT, 1 errors, 2 engine/oracle disagreement.
+20 UNSAT, 1 errors, 3 engine/oracle disagreement (argparse exits 2 on a
+usage error).  `solve` simulates with the row engine, `simulate` with the
+dense state vector.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .gates import sequence_to_json
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
-EXIT_DISAGREEMENT = 2
+EXIT_DISAGREEMENT = 3
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _read_instance(path: str) -> cnf.CnfInstance:
@@ -84,13 +86,6 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _simulate(circuit: compiler.CompiledCircuit, cap: int) -> tuple[simulator.StateVector, float]:
-    """The circuit applied to the all-zeros state, and its success probability."""
-    state = simulator.init_state(circuit.layout, cap=cap)
-    state = simulator.apply(state, circuit.sequence)
-    return state, simulator.success_probability(state, circuit.layout)
-
-
 def cmd_simulate(args) -> int:
     instance = _read_instance(args.path)
     circuit = compiler.compile(instance)
@@ -98,7 +93,9 @@ def cmd_simulate(args) -> int:
     if args.dump_amplitudes and layout.total > 12:
         print("amplitude dump capped at width 12", file=sys.stderr)
         return EXIT_ERROR
-    state, probability = _simulate(circuit, args.width_cap)
+    state = simulator.init_state(layout, cap=args.width_cap)
+    state = simulator.apply(state, circuit.sequence)
+    probability = simulator.success_probability(state, layout)
     payload = {
         "probability": probability,
         "r_inferred": probability * 2**layout.n,
@@ -178,7 +175,7 @@ def cmd_solve(args) -> int:
     instance = timed("parse", _read_instance, args.path)
     r = timed("oracle", cnf.count_satisfying, instance)
     circuit = timed("compile", compiler.compile, instance)
-    _, probability = timed("simulate", _simulate, circuit, args.width_cap)
+    probability = timed("simulate", simulator.row_probability, circuit.sequence, args.width_cap)
     report = {**_sizes(instance, circuit), "r": r, "probability": probability}
     verdicts = []
     if args.engine in ("chaos", "both"):
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chaossat")
     parser.add_argument(
         "--width-cap", type=int, default=simulator.DEFAULT_WIDTH_CAP,
-        help="widest register the dense simulator allocates (the oracle has its own limit)",
+        help="widest register simulate and solve accept (the oracle has its own limit)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -130,6 +130,13 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "amplitude dump capped at width 12\n"
 
+    def test_non_finite_value_is_refused_not_printed(self, capsys, monkeypatch, sat_file):
+        monkeypatch.setattr(cli.simulator, "success_probability", lambda state, layout: float("nan"))
+        assert cli.main(["simulate", sat_file]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestAmplify:
     def test_sat_decision(self, capsys):
@@ -157,6 +164,14 @@ class TestAmplify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1", "2"])
+    def test_threshold_outside_unit_interval_is_clean_exit(self, capsys, threshold):
+        argv = ["amplify", "--q2", "0.5", "--steps", "3", "--threshold", threshold]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: threshold must lie in [0, 1)")
 
 
 class TestLindblad:
@@ -321,6 +336,20 @@ class TestSolve:
         assert payload["status"] == "UNSAT"
         assert payload["chaos"]["first_crossing"] is None
 
+    def test_builds_no_state_vector_and_keeps_the_width_cap(self, capsys, monkeypatch, sat_file):
+        def dense(*args, **kwargs):
+            pytest.fail("solve ran the dense engine")
+
+        monkeypatch.setattr(cli.simulator, "init_state", dense)
+        monkeypatch.setattr(cli.simulator, "apply", dense)
+        code, payload = run(capsys, "solve", sat_file, "--engine", "both")
+        assert code == cli.EXIT_SAT
+        assert payload["probability"] == pytest.approx(0.75)
+        assert cli.main(["--width-cap", "3", "solve", sat_file]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: width 4 exceeds cap 3\n"
+
     def test_both_engines_agree(self, capsys, sat_file):
         code, payload = run(capsys, "solve", sat_file, "--engine", "both")
         assert code == cli.EXIT_SAT
@@ -336,13 +365,14 @@ class TestSolve:
         assert payload["status"] == "FAILED"
         assert "lindblad" not in payload["timings"]
 
-    def test_engine_disagreement_exits_2(self, capsys, monkeypatch, sat_file):
+    def test_engine_disagreement_exits_3(self, capsys, monkeypatch, sat_file):
         def always_unsat(q_squared, params):
             return "UNSAT", cli.amplifier.ChaosTrajectory((q_squared,), None)
 
         monkeypatch.setattr(cli.amplifier, "decide_sat", always_unsat)
         code, payload = run(capsys, "solve", sat_file)
-        assert code == cli.EXIT_DISAGREEMENT
+        # 3, not argparse's usage-error status 2
+        assert code == cli.EXIT_DISAGREEMENT == 3
         assert payload["status"] == "FAILED"
         assert payload["r"] == 3
 

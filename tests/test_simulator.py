@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 from conftest import PERMUTATION_KINDS, ops_of_kind, random_instance
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaossat import cnf, compiler, gates, simulator
 from chaossat.cnf import Clause, CnfInstance, Literal
 from chaossat.gates import GateOp, GateSequence
 from chaossat.simulator import WidthCapError
+
+H1 = GateOp("H_BLOCK", (1,))
 
 
 def clause(*nums):
@@ -100,6 +102,65 @@ class TestSuccessProbability:
             probability = simulator.success_probability(state, circuit.layout)
             expected = cnf.count_satisfying(inst) / 2**inst.n
             assert probability == pytest.approx(expected, abs=1e-10)
+
+
+@st.composite
+def cnf_clauses(draw, n):
+    # mixed signs (which may put x and -x in one clause) or all negated
+    signs = draw(st.sampled_from((st.booleans(), st.just(True))))
+    literal = st.builds(Literal, st.integers(1, n), signs)
+    return Clause(tuple(draw(st.lists(literal, min_size=1, max_size=3, unique=True))))
+
+
+@st.composite
+def cnf_instances(draw, max_width=18):
+    n = draw(st.integers(1, 8))
+    instance = CnfInstance(n, tuple(draw(st.lists(cnf_clauses(n), min_size=1, max_size=4))))
+    assume(compiler.compute_layout(instance).total <= max_width)
+    return instance
+
+
+def dense_probability(circuit):
+    state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+    return simulator.success_probability(state, circuit.layout)
+
+
+class TestRowEngine:
+    """simulator.row_probability against the dense engine, compared bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=cnf_instances())
+    def test_matches_dense_engine_and_oracle(self, instance):
+        circuit = compiler.compile(instance)
+        rows = simulator.row_probability(circuit.sequence)
+        assert rows.hex() == dense_probability(circuit).hex()
+        assert abs(rows - cnf.count_satisfying(instance) / 2**instance.n) < 1e-12
+
+    def test_sum_order_does_not_move_the_last_digit(self):
+        # numpy's pairwise sum of the odd half reads 0.6249999999999996 here;
+        # the correctly rounded sum is the one both engines return
+        inst = CnfInstance(6, (clause(1, 5), clause(3, 5)))
+        assert cnf.count_satisfying(inst) == 40
+        circuit = compiler.compile(inst)
+        assert dense_probability(circuit) == 0.6249999999999994
+        assert simulator.row_probability(circuit.sequence) == 0.6249999999999994
+
+    @pytest.mark.parametrize(
+        "seq, message",
+        [
+            (GateSequence(2, ()), "opens with an H_BLOCK"),
+            (GateSequence(2, (GateOp("CN", (1, 2)), H1)), "opens with an H_BLOCK"),
+            (GateSequence(2, (H1, GateOp("CN", (1, 2)), H1)), "one H_BLOCK"),
+            (GateSequence(64, (H1,)), "63 bits"),
+        ],
+    )
+    def test_refuses_what_is_not_a_block_then_permutations(self, seq, message):
+        with pytest.raises(ValueError, match=message):
+            simulator.row_probability(seq, cap=64)
+
+    def test_width_cap(self):
+        with pytest.raises(WidthCapError):
+            simulator.row_probability(GateSequence(27, (H1,)))
 
 
 class TestPostMeasure:
