@@ -5,8 +5,8 @@ lindblad, entropy) and `solve` runs the full pipeline: parse, compile,
 simulate, extract q^2 and decide satisfiability with the selected
 discriminator.  Exit codes follow the SAT-solver convention: 10 SAT,
 20 UNSAT, 1 errors, 3 engine/oracle disagreement (argparse exits 2 on a
-usage error).  `solve` simulates with the row engine, `simulate` with the
-dense state vector.
+usage error).  `simulate` and `solve` both read q^2 from the row engine;
+only `simulate --dump-amplitudes` builds the dense state vector.
 """
 
 from __future__ import annotations
@@ -93,15 +93,14 @@ def cmd_simulate(args) -> int:
     if args.dump_amplitudes and layout.total > 12:
         print("amplitude dump capped at width 12", file=sys.stderr)
         return EXIT_ERROR
-    state = simulator.init_state(layout, cap=args.width_cap)
-    state = simulator.apply(state, circuit.sequence)
-    probability = simulator.success_probability(state, layout)
+    probability = simulator.row_probability(circuit.sequence, args.width_cap)
     payload = {
         "probability": probability,
         "r_inferred": probability * 2**layout.n,
         "layout": {"n": layout.n, "mu": layout.mu, "total": layout.total},
     }
     if args.dump_amplitudes:
+        state = simulator.apply(simulator.init_state(layout), circuit.sequence)
         payload["amplitudes"] = [[float(a.real), float(a.imag)] for a in state.amps]
     _emit(payload)
     return 0
@@ -232,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("simulate", help="state-vector run and success probability")
+    p = sub.add_parser("simulate", help="success probability, optionally the state vector")
     p.add_argument("path")
     p.add_argument("--dump-amplitudes", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -27,55 +27,33 @@ class BruteForceLimitError(ValueError):
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A Boolean variable (1-based) or its negation."""
-
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.variable}")
-
-
-@dataclass(frozen=True)
-class Clause:
-    """A nonempty disjunction of literals, duplicate-free."""
-
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        if len(self.literals) == 0:
-            raise ValueError("clause must contain at least one literal")
-        seen = set()
-        for lit in self.literals:
-            key = (lit.variable, lit.negated)
-            if key in seen:
-                raise ValueError(f"duplicate literal {key} in clause")
-            seen.add(key)
-
-    def __len__(self):
-        return len(self.literals)
-
-
-@dataclass(frozen=True)
 class CnfInstance:
-    """A conjunction of clauses over n Boolean variables."""
+    """A conjunction of clauses over n Boolean variables.
+
+    A clause is a nonempty tuple of DIMACS literals: v for variable v
+    (1-based), -v for its negation.  It may not repeat a literal, but may
+    hold both v and -v.
+    """
 
     n: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"variable count must be >= 1, got {self.n}")
+        n = self.n
+        if n < 1:
+            raise ValueError(f"variable count must be >= 1, got {n}")
         if len(self.clauses) == 0:
             raise ValueError("instance must contain at least one clause")
         for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.variable > self.n:
-                    raise ValueError(
-                        f"variable {lit.variable} exceeds declared count {self.n}"
-                    )
+            if not clause:
+                raise ValueError("clause must contain at least one literal")
+            if len(set(clause)) != len(clause):
+                raise ValueError(f"duplicate literal in clause {clause}")
+            for lit in clause:
+                if lit == 0:
+                    raise ValueError("variable index must be >= 1, got 0")
+                if abs(lit) > n:
+                    raise ValueError(f"variable {abs(lit)} exceeds declared count {n}")
 
     @property
     def m(self) -> int:
@@ -93,9 +71,8 @@ def parse_dimacs(text: str) -> CnfInstance:
     n = None
     m = None
     header_line = 0
-    clauses: list[Clause] = []
-    current: list[Literal] = []
-    current_keys: set[tuple[int, bool]] = set()
+    clauses: list[tuple[int, ...]] = []
+    current: dict[int, None] = {}  # the open clause's literals, in order
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -127,18 +104,14 @@ def parse_dimacs(text: str) -> CnfInstance:
             if value == 0:
                 if not current:
                     raise DimacsParseError("empty clause", lineno)
-                clauses.append(Clause(tuple(current)))
-                current = []
-                current_keys = set()
+                clauses.append(tuple(current))
+                current = {}
                 continue
-            variable = abs(value)
-            if variable > n:
-                raise DimacsParseError(f"variable {variable} exceeds n={n}", lineno)
-            key = (variable, value < 0)
-            if key in current_keys:
+            if abs(value) > n:
+                raise DimacsParseError(f"variable {abs(value)} exceeds n={n}", lineno)
+            if value in current:
                 raise DimacsParseError(f"duplicate literal {value} in clause", lineno)
-            current_keys.add(key)
-            current.append(Literal(variable, value < 0))
+            current[value] = None
 
     last = len(text.splitlines()) or 1
     if n is None:
@@ -156,8 +129,7 @@ def render_dimacs(instance: CnfInstance) -> str:
     """Serialize an instance back to DIMACS text (inverse of parse_dimacs)."""
     lines = [f"p cnf {instance.n} {instance.m}"]
     for clause in instance.clauses:
-        nums = [(-lit.variable if lit.negated else lit.variable) for lit in clause.literals]
-        lines.append(" ".join(str(v) for v in nums) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -166,10 +138,7 @@ def evaluate(instance: CnfInstance, bits) -> int:
     if len(bits) != instance.n:
         raise ValueError(f"assignment length {len(bits)} != n={instance.n}")
     for clause in instance.clauses:
-        if not any(
-            (1 - bits[lit.variable - 1] if lit.negated else bits[lit.variable - 1])
-            for lit in clause.literals
-        ):
+        if not any(bits[abs(lit) - 1] != (lit < 0) for lit in clause):
             return 0
     return 1
 
@@ -195,11 +164,11 @@ def count_satisfying(instance: CnfInstance, limit: int = DEFAULT_BRUTE_FORCE_LIM
         sat = np.full(words, _ONES, dtype=np.uint64)
         for clause in instance.clauses:
             value = np.zeros(words, dtype=np.uint64)
-            for lit in clause.literals:
-                s = n - lit.variable
+            for lit in clause:
+                s = n - abs(lit)
                 if s < low:
-                    value |= ~planes[s] if lit.negated else planes[s]
-                elif (chunk >> (s - low) & 1) ^ lit.negated:
+                    value |= ~planes[s] if lit < 0 else planes[s]
+                elif (chunk >> (s - low) & 1) ^ (lit < 0):
                     break  # a high literal true on the whole chunk satisfies the clause
             else:
                 sat &= value

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Clause, CnfInstance
+from .cnf import CnfInstance
 from .gates import GateOp, GateSequence
 
 
@@ -26,8 +26,6 @@ class QubitLayout:
     s: tuple[int, ...]  # per-clause work-region start indices
 
     def __post_init__(self):
-        if self.total != self.n + self.mu + 1:
-            raise ValueError("inconsistent layout")
         if self.s and self.s[0] != self.n + 1:
             raise ValueError("first work region must start at n+1")
         if any(b <= a for a, b in zip(self.s, self.s[1:])):
@@ -37,10 +35,6 @@ class QubitLayout:
     def total(self) -> int:
         return self.n + self.mu + 1
 
-    @property
-    def s_final(self) -> int:
-        return self.n + self.mu + 1
-
 
 @dataclass(frozen=True)
 class CompiledCircuit:
@@ -48,7 +42,7 @@ class CompiledCircuit:
     sequence: GateSequence
 
 
-def _slot(clause: Clause) -> int:
+def _slot(clause: tuple[int, ...]) -> int:
     # work qubits charged to a clause in the start-index recursion
     return len(clause) + (1 if len(clause) == 1 else 0)
 
@@ -94,25 +88,24 @@ def compile_clause(instance: CnfInstance, k: int, layout: QubitLayout) -> list[G
     work qubit, since a 2-wire OR cannot take the same control twice.
     """
     clause = instance.clauses[k]
-    lits = clause.literals
     start = layout.s[k]
     result = clause_result_wire(instance, k, layout)
     if result > layout.n + layout.mu:
         raise LayoutOverflowError(f"clause {k} work region exceeds dust qubits")
     ops: list[GateOp] = []
-    if len(lits) == 1:
-        lit = lits[0]
-        ops.append(GateOp("COPY", (lit.variable, start), (lit.negated,)))
+    if len(clause) == 1:
+        lit = clause[0]
+        ops.append(GateOp("COPY", (abs(lit), start), (lit < 0,)))
         return ops
-    first, second = lits[0], lits[1]
-    if first.variable == second.variable:
+    first, second = clause[0], clause[1]
+    if abs(first) == abs(second):
         ops.append(GateOp("NOT", (start,)))
     else:
-        u, v = sorted((first, second), key=lambda l: l.variable)
-        ops.append(GateOp("OR", (u.variable, v.variable, start), (u.negated, v.negated)))
+        u, v = sorted((first, second), key=abs)
+        ops.append(GateOp("OR", (abs(u), abs(v), start), (u < 0, v < 0)))
     work = start
-    for lit in lits[2:]:
-        ops.append(GateOp("OR", (lit.variable, work, work + 1), (lit.negated, False)))
+    for lit in clause[2:]:
+        ops.append(GateOp("OR", (abs(lit), work, work + 1), (lit < 0, False)))
         work += 1
     if work != result:
         raise LayoutOverflowError(f"clause {k} chain ended at {work}, expected {result}")
@@ -123,7 +116,7 @@ def compile(instance: CnfInstance) -> CompiledCircuit:
     """Full circuit: Hadamard block, clause OR chains, then the AND chain.
 
     After the clause fragments, clause k's result sits at s[k+1]-1 for
-    k < m-1 and at s_final-1 for the last clause; AND-chain partials land
+    k < m-1 and at layout.total-1 for the last clause; AND-chain partials land
     in the gap qubits s[k+2]-1.  For a single clause the result is copied
     straight to the result qubit.
     """
@@ -132,12 +125,11 @@ def compile(instance: CnfInstance) -> CompiledCircuit:
     ops: list[GateOp] = [GateOp("H_BLOCK", tuple(range(1, instance.n + 1)))]
     for k in range(m):
         ops.extend(compile_clause(instance, k, layout))
-    s = layout.s
-    final = layout.s_final
+    s, total = layout.s, layout.total
     if m == 1:
-        ops.append(GateOp("COPY", (clause_result_wire(instance, 0, layout), final)))
+        ops.append(GateOp("COPY", (clause_result_wire(instance, 0, layout), total)))
     else:
         for k in range(1, m - 1):  # chain steps 1..m-2, 1-based
             ops.append(GateOp("AND", (s[k] - 1, s[k + 1] - 2, s[k + 1] - 1)))
-        ops.append(GateOp("AND", (s[m - 1] - 1, final - 1, final)))
-    return CompiledCircuit(layout, GateSequence(layout.total, tuple(ops)))
+        ops.append(GateOp("AND", (s[m - 1] - 1, total - 1, total)))
+    return CompiledCircuit(layout, GateSequence(total, tuple(ops)))

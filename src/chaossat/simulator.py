@@ -3,23 +3,24 @@
 Qubit 1 is the most significant bit of a basis index, so the register
 reads left to right like a tensor product.
 
-``apply`` is the dense engine behind ``simulate``: the state stays a
-dense 2^width vector, but each gate works on its support, the indices
-whose amplitude has any bit set (so -0.0 counts), found by one scan.  A
-classical gate XORs its target bit into the support indices whose
-control bits match a pattern on which the gate table flips the target,
-and moves those amplitudes.  Only the Hadamard block mixes amplitudes:
-each wire pairs every support index with its partner across that wire,
-present in the support or not.  The results are bit for bit those of a
-pass over the whole register.
+``apply`` is the dense engine behind ``simulate --dump-amplitudes``:
+the state stays a dense 2^width vector, but each gate works on its
+support, the indices whose amplitude has any bit set (so -0.0 counts),
+found by one scan.  A classical gate XORs its target bit into the
+support indices whose control bits match a pattern on which the gate
+table flips the target, and moves those amplitudes.  Only the Hadamard
+block mixes amplitudes: each wire pairs every support index with its
+partner across that wire, present in the support or not.  The results
+are bit for bit those of a pass over the whole register.
 
-``row_probability`` is the row engine behind ``solve``.  A compiled
-circuit is one Hadamard block followed only by basis permutations, so
-its state is a sum of 2^k basis rows (k wires in the block) that all
-carry one amplitude.  The engine keeps just those row indices, moves
-them with the same gate step as ``apply`` and never builds the
-2^width vector.  Both engines read the success probability as the
-correctly rounded sum of |a|^2, so they return the same float.
+``row_probability`` is the row engine behind the success probability
+that ``simulate`` and ``solve`` print.  A compiled circuit is one
+Hadamard block followed only by basis permutations, so its state is a
+sum of 2^k basis rows (k wires in the block) that all carry one
+amplitude.  The engine keeps just those row indices, moves them with
+the same gate step as ``apply`` and never builds the 2^width vector.
+Both engines read the success probability as the correctly rounded sum
+of |a|^2, so they return the same float.
 """
 
 from __future__ import annotations

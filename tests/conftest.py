@@ -28,9 +28,7 @@ def random_instance(rng: random.Random, max_vars: int = 8, max_clauses: int = 12
         for _ in range(m):
             card = rng.randint(1, min(3, n))
             variables = rng.sample(range(1, n + 1), card)
-            clauses.append(
-                cnf.Clause(tuple(cnf.Literal(v, rng.random() < 0.5) for v in variables))
-            )
+            clauses.append(tuple(-v if rng.random() < 0.5 else v for v in variables))
         instance = cnf.CnfInstance(n, tuple(clauses))
         if max_total is None:
             return instance

@@ -21,11 +21,7 @@ import pytest
 from conftest import CRITERION_LINES, random_instance
 
 from chaossat import amplifier, cli, cnf, compiler, entropy, gates, lindblad, simulator
-from chaossat.cnf import Clause, CnfInstance, Literal
-
-
-def clause(*nums):
-    return Clause(tuple(Literal(abs(v), v < 0) for v in nums))
+from chaossat.cnf import CnfInstance
 
 
 def report(num, ok, detail=""):
@@ -37,15 +33,15 @@ def report(num, ok, detail=""):
 
 
 GOLDEN_CORPUS = [
-    CnfInstance(1, (clause(1),)),
-    CnfInstance(1, (clause(-1),)),
-    CnfInstance(1, (clause(1), clause(-1))),
-    CnfInstance(1, (clause(1, -1),)),
-    CnfInstance(2, (clause(1, 2),)),
-    CnfInstance(2, (clause(1, 2), clause(-1, 2))),
-    CnfInstance(3, (clause(1, 2, 3),)),
-    CnfInstance(3, (clause(1, 2), clause(2, 3), clause(-1, -3))),
-    CnfInstance(4, (clause(1), clause(-2), clause(3, 4), clause(-1, 2, -3, -4))),
+    CnfInstance(1, ((1,),)),
+    CnfInstance(1, ((-1,),)),
+    CnfInstance(1, ((1,), (-1,))),
+    CnfInstance(1, ((1, -1),)),
+    CnfInstance(2, ((1, 2),)),
+    CnfInstance(2, ((1, 2), (-1, 2))),
+    CnfInstance(3, ((1, 2, 3),)),
+    CnfInstance(3, ((1, 2), (2, 3), (-1, -3))),
+    CnfInstance(4, ((1,), (-2,), (3, 4), (-1, 2, -3, -4))),
 ]
 
 
@@ -270,13 +266,13 @@ class TestCriterion9:
     BIG = CnfInstance(
         8,
         (
-            clause(1, 2, 3),
-            clause(4, 5, 6),
-            clause(6, 7, 8),
-            clause(1, 4),
-            clause(2, 5),
-            clause(3, 6),
-            clause(7, 8),
+            (1, 2, 3),
+            (4, 5, 6),
+            (6, 7, 8),
+            (1, 4),
+            (2, 5),
+            (3, 6),
+            (7, 8),
         ),
     )
 

@@ -130,8 +130,22 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "amplitude dump capped at width 12\n"
 
+    def test_builds_no_state_vector_and_keeps_the_width_cap(self, capsys, monkeypatch, sat_file):
+        def dense(*args, **kwargs):
+            pytest.fail("simulate built the dense state without --dump-amplitudes")
+
+        monkeypatch.setattr(cli.simulator, "init_state", dense)
+        monkeypatch.setattr(cli.simulator, "apply", dense)
+        code, payload = run(capsys, "simulate", sat_file)
+        assert code == 0
+        assert payload["probability"] == pytest.approx(0.75)
+        assert cli.main(["--width-cap", "3", "simulate", sat_file]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: width 4 exceeds cap 3\n"
+
     def test_non_finite_value_is_refused_not_printed(self, capsys, monkeypatch, sat_file):
-        monkeypatch.setattr(cli.simulator, "success_probability", lambda state, layout: float("nan"))
+        monkeypatch.setattr(cli.simulator, "row_probability", lambda seq, cap: float("nan"))
         assert cli.main(["simulate", sat_file]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -6,17 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaossat import cnf
-from chaossat.cnf import (
-    BruteForceLimitError,
-    Clause,
-    CnfInstance,
-    DimacsParseError,
-    Literal,
-)
-
-
-def clause(*nums):
-    return Clause(tuple(Literal(abs(v), v < 0) for v in nums))
+from chaossat.cnf import BruteForceLimitError, CnfInstance, DimacsParseError
 
 
 def direct_count(inst):
@@ -30,12 +21,12 @@ class TestParseDimacs:
     def test_basic(self):
         inst = cnf.parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
         assert inst.n == 2
-        assert inst.clauses == (clause(1, 2), clause(-1))
+        assert inst.clauses == ((1, 2), (-1,))
 
     def test_minimal(self):
         inst = cnf.parse_dimacs("p cnf 1 1\n1 0\n")
         assert inst.n == 1
-        assert inst.clauses == (clause(1),)
+        assert inst.clauses == ((1,),)
 
     def test_variable_out_of_bounds(self):
         with pytest.raises(DimacsParseError, match="line 2.*variable 3 exceeds n=2"):
@@ -43,7 +34,7 @@ class TestParseDimacs:
 
     def test_comments_and_multiline_clauses(self):
         inst = cnf.parse_dimacs("c header comment\np cnf 3 1\n1 2\n-3 0\n")
-        assert inst.clauses == (clause(1, 2, -3),)
+        assert inst.clauses == ((1, 2, -3),)
 
     def test_malformed_header(self):
         with pytest.raises(DimacsParseError, match="line 1"):
@@ -63,7 +54,7 @@ class TestParseDimacs:
 
     def test_satlib_trailer_ends_clause_data(self):
         inst = cnf.parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
-        assert inst.clauses == (clause(1, -2, 3), clause(-1, 2))
+        assert inst.clauses == ((1, -2, 3), (-1, 2))
 
     def test_clause_count_checked_before_trailer(self):
         with pytest.raises(DimacsParseError, match="declares 2 clauses, found 1"):
@@ -74,39 +65,58 @@ class TestParseDimacs:
         assert cnf.count_satisfying(inst) == 2
 
 
+@pytest.mark.parametrize(
+    "clause, error",
+    [
+        ((), "clause must contain at least one literal"),
+        ((1, 0), "variable index must be >= 1, got 0"),
+        ((1, -3), "variable 3 exceeds declared count 2"),
+        ((2, -1, 2), "duplicate literal in clause (2, -1, 2)"),
+        ((1, -1), None),
+    ],
+    ids=["empty", "zero", "beyond-n", "repeated", "tautology"],
+)
+def test_instance_checks_each_clause(clause, error):
+    if error is None:
+        assert CnfInstance(2, ((2,), clause)).clauses == ((2,), clause)
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            CnfInstance(2, ((2,), clause))
+
+
 class TestEvaluate:
     def test_single_clause(self):
-        inst = CnfInstance(2, (clause(1, 2),))
+        inst = CnfInstance(2, ((1, 2),))
         assert cnf.evaluate(inst, (0, 1)) == 1
 
     def test_contradiction(self):
-        inst = CnfInstance(1, (clause(1), clause(-1)))
+        inst = CnfInstance(1, ((1,), (-1,)))
         assert cnf.evaluate(inst, (0,)) == 0
         assert cnf.evaluate(inst, (1,)) == 0
 
     def test_two_clauses(self):
-        inst = CnfInstance(2, (clause(1, 2), clause(-1)))
+        inst = CnfInstance(2, ((1, 2), (-1,)))
         assert cnf.evaluate(inst, (0, 1)) == 1
 
     def test_length_mismatch(self):
-        inst = CnfInstance(2, (clause(1),))
+        inst = CnfInstance(2, ((1,),))
         with pytest.raises(ValueError):
             cnf.evaluate(inst, (0,))
 
 
 class TestCountSatisfying:
     def test_single_or(self):
-        assert cnf.count_satisfying(CnfInstance(2, (clause(1, 2),))) == 3
+        assert cnf.count_satisfying(CnfInstance(2, ((1, 2),))) == 3
 
     def test_unsat(self):
-        assert cnf.count_satisfying(CnfInstance(1, (clause(1), clause(-1)))) == 0
+        assert cnf.count_satisfying(CnfInstance(1, ((1,), (-1,)))) == 0
 
     def test_two_clause(self):
-        inst = CnfInstance(2, (clause(1, 2), clause(-1, 2)))
+        inst = CnfInstance(2, ((1, 2), (-1, 2)))
         assert cnf.count_satisfying(inst) == 2
 
     def test_limit(self):
-        inst = CnfInstance(25, (clause(1),))
+        inst = CnfInstance(25, ((1,),))
         with pytest.raises(BruteForceLimitError):
             cnf.count_satisfying(inst)
 
@@ -130,13 +140,7 @@ def instances(draw, min_n=1, max_n=5):
                 min_size=1, max_size=n, unique=True,
             )
         )
-        # unique on (variable, negated) pairs only
-        seen, lits = set(), []
-        for v, neg in pool:
-            if (v, neg) not in seen:
-                seen.add((v, neg))
-                lits.append(Literal(v, neg))
-        clauses.append(Clause(tuple(lits)))
+        clauses.append(tuple(-v if negated else v for v, negated in pool))
     return CnfInstance(n, tuple(clauses))
 
 
@@ -154,10 +158,9 @@ def test_adding_satisfied_literal_is_monotone(inst, idx):
     # extend the first clause with a literal made true by the assignment
     first = inst.clauses[0]
     for v in range(1, inst.n + 1):
-        lit = Literal(v, negated=bits[v - 1] == 0)
-        if (lit.variable, lit.negated) not in {(l.variable, l.negated) for l in first.literals}:
-            extended = Clause(first.literals + (lit,))
-            grown = CnfInstance(inst.n, (extended,) + inst.clauses[1:])
+        lit = v if bits[v - 1] else -v
+        if lit not in first:
+            grown = CnfInstance(inst.n, (first + (lit,),) + inst.clauses[1:])
             assert cnf.evaluate(grown, bits) >= before
             break
 
@@ -190,7 +193,7 @@ class TestPackedPlanes:
 
     def test_count_at_the_limit_is_exact_int(self):
         # variables 1 and 2 are constant within each chunk, variable 24 is a plane
-        inst = CnfInstance(24, (clause(1, -24), clause(-1, 2)))
+        inst = CnfInstance(24, ((1, -24), (-1, 2)))
         r = cnf.count_satisfying(inst)
         assert type(r) is int
         assert r == 2**23
@@ -199,7 +202,7 @@ class TestPackedPlanes:
         rng = random.Random(22)
         n, m = 22, 92
         inst = CnfInstance(n, tuple(
-            clause(*(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)))
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
             for _ in range(m)
         ))
         tracemalloc.start()

@@ -2,12 +2,8 @@ import pytest
 from conftest import random_instance
 
 from chaossat import cnf, compiler, gates
-from chaossat.cnf import Clause, CnfInstance, Literal
+from chaossat.cnf import CnfInstance
 from chaossat.compiler import compute_layout
-
-
-def clause(*nums):
-    return Clause(tuple(Literal(abs(v), v < 0) for v in nums))
 
 
 def closed_form_mu(instance):
@@ -16,14 +12,14 @@ def closed_form_mu(instance):
 
 class TestComputeLayout:
     def test_two_binary_clauses(self):
-        inst = CnfInstance(2, (clause(1, 2), clause(-1, 2)))
+        inst = CnfInstance(2, ((1, 2), (-1, 2)))
         layout = compute_layout(inst)
         assert layout.s == (3, 4)
         assert layout.mu == 2
         assert layout.total == 5
 
     def test_two_unit_clauses(self):
-        inst = CnfInstance(1, (clause(1), clause(-1)))
+        inst = CnfInstance(1, ((1,), (-1,)))
         layout = compute_layout(inst)
         assert layout.s == (2, 3)
         assert layout.mu == 2
@@ -31,7 +27,7 @@ class TestComputeLayout:
         assert layout.mu == closed_form_mu(inst)
 
     def test_three_binary_clauses(self):
-        inst = CnfInstance(3, (clause(1, 2), clause(2, 3), clause(1, 3)))
+        inst = CnfInstance(3, ((1, 2), (2, 3), (1, 3)))
         layout = compute_layout(inst)
         assert layout.s == (4, 5, 7)
         assert layout.mu == 4
@@ -45,7 +41,7 @@ class TestComputeLayout:
             assert compute_layout(inst).mu == closed_form_mu(inst)
 
     def test_single_clause(self):
-        inst = CnfInstance(2, (clause(1, 2),))
+        inst = CnfInstance(2, ((1, 2),))
         layout = compute_layout(inst)
         assert layout.mu == 1
         assert layout.total == 4
@@ -53,7 +49,7 @@ class TestComputeLayout:
 
 class TestCompileClause:
     def test_two_literal_clause_is_single_or(self):
-        inst = CnfInstance(2, (clause(1, 2), clause(1, 2)))
+        inst = CnfInstance(2, ((1, 2), (1, 2)))
         layout = compute_layout(inst)
         ops = compiler.compile_clause(inst, 0, layout)
         assert len(ops) == 1
@@ -61,7 +57,7 @@ class TestCompileClause:
         assert ops[0].wires == (1, 2, layout.s[0])
 
     def test_negated_unit_clause_is_conjugated_copy(self):
-        inst = CnfInstance(1, (clause(-1), clause(1)))
+        inst = CnfInstance(1, ((-1,), (1,)))
         layout = compute_layout(inst)
         ops = compiler.compile_clause(inst, 0, layout)
         assert len(ops) == 1
@@ -69,7 +65,7 @@ class TestCompileClause:
         assert ops[0].negate_controls == (True,)
 
     def test_three_literal_chain(self):
-        inst = CnfInstance(3, (clause(1, 2, 3), clause(1, 2)))
+        inst = CnfInstance(3, ((1, 2, 3), (1, 2)))
         layout = compute_layout(inst)
         ops = compiler.compile_clause(inst, 0, layout)
         w = layout.s[0]
@@ -81,7 +77,7 @@ def basis_outputs_match_evaluate(instance):
     circuit = compiler.compile(instance)
     layout = circuit.layout
     assert circuit.sequence.ops[0].kind == "H_BLOCK"
-    assert circuit.sequence.ops[-1].target == layout.s_final
+    assert circuit.sequence.ops[-1].target == layout.total
     tail = gates.GateSequence(layout.total, circuit.sequence.ops[1:])
     for index in range(2**instance.n):
         bits = cnf.assignment_from_index(index, instance.n)
@@ -96,22 +92,22 @@ def basis_outputs_match_evaluate(instance):
 
 class TestCompile:
     def test_single_clause_shape(self):
-        inst = CnfInstance(2, (clause(1, 2),))
+        inst = CnfInstance(2, ((1, 2),))
         circuit = compiler.compile(inst)
         kinds = [op.kind for op in circuit.sequence.ops]
         assert kinds == ["H_BLOCK", "OR", "COPY"]
-        assert circuit.sequence.ops[-1].wires[-1] == circuit.layout.s_final
+        assert circuit.sequence.ops[-1].wires[-1] == circuit.layout.total
 
     def test_contradiction_always_zero(self):
-        inst = CnfInstance(1, (clause(1), clause(-1)))
+        inst = CnfInstance(1, ((1,), (-1,)))
         assert basis_outputs_match_evaluate(inst)
 
     def test_two_clause_example(self):
-        inst = CnfInstance(2, (clause(1, 2), clause(-1, 2)))
+        inst = CnfInstance(2, ((1, 2), (-1, 2)))
         assert basis_outputs_match_evaluate(inst)
 
     def test_tautological_pair_compiles_to_not(self):
-        inst = CnfInstance(1, (clause(1, -1), clause(1)))
+        inst = CnfInstance(1, ((1, -1), (1,)))
         assert basis_outputs_match_evaluate(inst)
 
     def test_random_instances(self, rng):

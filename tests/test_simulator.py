@@ -7,15 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaossat import cnf, compiler, gates, simulator
-from chaossat.cnf import Clause, CnfInstance, Literal
+from chaossat.cnf import CnfInstance
 from chaossat.gates import GateOp, GateSequence
 from chaossat.simulator import WidthCapError
 
 H1 = GateOp("H_BLOCK", (1,))
-
-
-def clause(*nums):
-    return Clause(tuple(Literal(abs(v), v < 0) for v in nums))
 
 
 class TestInitState:
@@ -45,7 +41,7 @@ class TestApply:
         assert np.allclose(state.amps, [0, 0, 0, 1])
 
     def test_circuit_produces_uniform_truth_superposition(self):
-        inst = CnfInstance(2, (clause(1, 2),))
+        inst = CnfInstance(2, ((1, 2),))
         circuit = compiler.compile(inst)
         state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
         n, total = inst.n, circuit.layout.total
@@ -75,19 +71,19 @@ class TestApply:
 
 class TestSuccessProbability:
     def test_three_quarters(self):
-        inst = CnfInstance(2, (clause(1, 2),))
+        inst = CnfInstance(2, ((1, 2),))
         circuit = compiler.compile(inst)
         state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
         assert simulator.success_probability(state, circuit.layout) == pytest.approx(0.75)
 
     def test_unsat_is_zero(self):
-        inst = CnfInstance(1, (clause(1), clause(-1)))
+        inst = CnfInstance(1, ((1,), (-1,)))
         circuit = compiler.compile(inst)
         state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
         assert simulator.success_probability(state, circuit.layout) < 1e-12
 
     def test_unit_clause_half(self):
-        inst = CnfInstance(1, (clause(1),))
+        inst = CnfInstance(1, ((1,),))
         circuit = compiler.compile(inst)
         state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
         assert simulator.success_probability(state, circuit.layout) == pytest.approx(0.5)
@@ -107,9 +103,9 @@ class TestSuccessProbability:
 @st.composite
 def cnf_clauses(draw, n):
     # mixed signs (which may put x and -x in one clause) or all negated
-    signs = draw(st.sampled_from((st.booleans(), st.just(True))))
-    literal = st.builds(Literal, st.integers(1, n), signs)
-    return Clause(tuple(draw(st.lists(literal, min_size=1, max_size=3, unique=True))))
+    signs = draw(st.sampled_from((st.sampled_from((1, -1)), st.just(-1))))
+    literal = st.builds(lambda v, sign: sign * v, st.integers(1, n), signs)
+    return tuple(draw(st.lists(literal, min_size=1, max_size=3, unique=True)))
 
 
 @st.composite
@@ -139,7 +135,7 @@ class TestRowEngine:
     def test_sum_order_does_not_move_the_last_digit(self):
         # numpy's pairwise sum of the odd half reads 0.6249999999999996 here;
         # the correctly rounded sum is the one both engines return
-        inst = CnfInstance(6, (clause(1, 5), clause(3, 5)))
+        inst = CnfInstance(6, ((1, 5), (3, 5)))
         assert cnf.count_satisfying(inst) == 40
         circuit = compiler.compile(inst)
         assert dense_probability(circuit) == 0.6249999999999994
@@ -165,7 +161,7 @@ class TestRowEngine:
 
 class TestPostMeasure:
     def test_completeness(self):
-        inst = CnfInstance(2, (clause(1, 2), clause(-1, 2)))
+        inst = CnfInstance(2, ((1, 2), (-1, 2)))
         circuit = compiler.compile(inst)
         state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
         probability = simulator.success_probability(state, circuit.layout)
