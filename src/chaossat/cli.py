@@ -93,10 +93,10 @@ def cmd_simulate(args) -> int:
     if args.dump_amplitudes and layout.total > 12:
         print("amplitude dump capped at width 12", file=sys.stderr)
         return EXIT_ERROR
-    probability = simulator.row_probability(circuit.sequence, args.width_cap)
+    probability, r = simulator.row_probability(circuit.sequence, args.width_cap)
     payload = {
         "probability": probability,
-        "r_inferred": probability * 2**layout.n,
+        "r_inferred": r,
         "layout": {"n": layout.n, "mu": layout.mu, "total": layout.total},
     }
     if args.dump_amplitudes:
@@ -174,7 +174,7 @@ def cmd_solve(args) -> int:
     instance = timed("parse", _read_instance, args.path)
     r = timed("oracle", cnf.count_satisfying, instance)
     circuit = timed("compile", compiler.compile, instance)
-    probability = timed("simulate", simulator.row_probability, circuit.sequence, args.width_cap)
+    probability, _ = timed("simulate", simulator.row_probability, circuit.sequence, args.width_cap)
     report = {**_sizes(instance, circuit), "r": r, "probability": probability}
     verdicts = []
     if args.engine in ("chaos", "both"):

@@ -4,23 +4,19 @@ Qubit 1 is the most significant bit of a basis index, so the register
 reads left to right like a tensor product.
 
 ``apply`` is the dense engine behind ``simulate --dump-amplitudes``:
-the state stays a dense 2^width vector, but each gate works on its
-support, the indices whose amplitude has any bit set (so -0.0 counts),
-found by one scan.  A classical gate XORs its target bit into the
-support indices whose control bits match a pattern on which the gate
-table flips the target, and moves those amplitudes.  Only the Hadamard
-block mixes amplitudes: each wire pairs every support index with its
-partner across that wire, present in the support or not.  The results
-are bit for bit those of a pass over the whole register.
+the state is a dense 2^width vector, and each gate makes one pass over
+all of it.  A Hadamard wire is a butterfly over the two halves of that
+wire's axis; a classical gate swaps the two target halves of each slice
+whose control bits match a pattern on which the gate table flips the
+target.
 
-``row_probability`` is the row engine behind the success probability
-that ``simulate`` and ``solve`` print.  A compiled circuit is one
-Hadamard block followed only by basis permutations, so its state is a
-sum of 2^k basis rows (k wires in the block) that all carry one
-amplitude.  The engine keeps just those row indices, moves them with
-the same gate step as ``apply`` and never builds the 2^width vector.
-Both engines read the success probability as the correctly rounded sum
-of |a|^2, so they return the same float.
+``row_probability`` is the engine behind the success probability that
+``simulate`` and ``solve`` print.  A compiled circuit is one Hadamard
+block followed only by basis permutations, so its state is a sum of 2^k
+basis rows (k wires in the block) that all carry one amplitude.  The
+engine holds each wire as a bit plane over those rows and counts the
+rows whose result bit is 1 exactly; its memory is about one 2^k-bit int
+per written wire.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import QubitLayout
-from .gates import GateOp, GateSequence
+from .gates import SEMANTICS, GateSequence
 
 DEFAULT_WIDTH_CAP = 26
 
@@ -73,68 +69,36 @@ def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> State
     return StateVector(width, amps)
 
 
-def _live(words: np.ndarray) -> np.ndarray:
-    """Mask of the (real, imag) word pairs with any bit set, so -0.0 is live."""
-    return (words[..., 0] | words[..., 1]) != 0
-
-
-def _permute(op: GateOp, indices: np.ndarray, width: int) -> np.ndarray:
-    """Images of basis indices under a permutation gate.
-
-    The target bit is flipped in every index whose control bits match a
-    pattern on which the gate table flips the target.
-    """
-    key = np.zeros_like(indices)
-    for wire in op.controls:
-        key <<= 1
-        key |= (indices >> (width - wire)) & 1
-    flips = np.zeros((2,) * len(op.controls), dtype=indices.dtype)
-    for pattern in op.flip_patterns():
-        flips[pattern] = 1
-    image = flips.reshape(-1)[key]
-    image <<= width - op.target
-    image ^= indices
-    return image
-
-
 def apply(state: StateVector, seq: GateSequence) -> StateVector:
     """Run a gate sequence, returning a new state.
 
-    Only the support, the indices whose amplitude has any bit set, is
-    visited: every index outside it holds +0.0 in the input and, since a
-    gate maps +0.0 pairs to +0.0, in the output too.
+    Every gate is one pass over the whole register, seen as a
+    (2,) * width tensor with wire w on axis w - 1.  The halves of an
+    axis are views into one copy of the input, which each gate updates
+    in place.
     """
     if seq.width != state.width:
         raise ValueError(f"sequence width {seq.width} != state width {state.width}")
-    support = np.flatnonzero(_live(state.amps.view(np.uint64).reshape(-1, 2)))
-    out = np.zeros_like(state.amps)
-    out[support] = state.amps[support]
-    words = out.view(np.uint64).reshape(-1, 2)
+    out = state.amps.copy()
+    view = out.reshape((2,) * state.width)
     for op in seq.ops:
         if op.kind == "H_BLOCK":
             for wire in op.wires:
-                bit = 1 << (state.width - wire)
-                support = support[_live(words[support])]
-                partner = support ^ bit
-                high = (support & bit) != 0
-                # a live upper index whose lower partner is +0.0 still pairs
-                lower = np.concatenate(
-                    (support[~high], partner[high & ~_live(words[partner])])
-                )
-                upper = lower | bit
-                a0, a1 = out[lower], out[upper]
-                out[lower] = (a0 + a1) * _SQRT1_2
-                out[upper] = (a0 - a1) * _SQRT1_2
-                support = np.concatenate((lower, upper))
+                lead = (slice(None),) * (wire - 1)
+                a0, a1 = view[(*lead, 0, ...)], view[(*lead, 1, ...)]
+                total = a0 + a1
+                np.subtract(a0, a1, out=a1)
+                a1 *= _SQRT1_2
+                np.multiply(total, _SQRT1_2, out=a0)
             continue
-        image = _permute(op, support, state.width)
-        moved = image != support
-        source, target = support[moved], image[moved]
-        # a target is a source too (the controls exclude the target wire) or
-        # lies outside the support and holds +0.0, so this one swap also
-        # zeroes every source whose target was empty
-        out[np.concatenate((source, target))] = out[np.concatenate((target, source))]
-        support = image
+        for pattern in op.flip_patterns():
+            lead = [slice(None)] * (op.target - 1)  # every control precedes the target
+            for wire, bit in zip(op.controls, pattern):
+                lead[wire - 1] = bit
+            half0, half1 = view[(*lead, 0, ...)], view[(*lead, 1, ...)]
+            saved = half0.copy()
+            half0[...] = half1
+            half1[...] = saved
     return StateVector(state.width, out)
 
 
@@ -150,31 +114,45 @@ def success_probability(state: StateVector, layout: QubitLayout) -> float:
     return math.fsum((np.abs(odd[odd != 0]) ** 2).tolist())
 
 
-def row_probability(seq: GateSequence, cap: int = DEFAULT_WIDTH_CAP) -> float:
-    """Probability that the result qubit (the last wire) reads 1, from the basis rows alone.
+def row_probability(seq: GateSequence, cap: int = DEFAULT_WIDTH_CAP) -> tuple[float, int]:
+    """Probability that the result qubit (the last wire) reads 1, and the
+    number r of basis rows in which it does.
 
     ``seq`` must open with one H_BLOCK and continue with basis
-    permutations only.  The block's amplitude comes from the same
-    butterfly as in ``apply``, so it is bit for bit the dense engine's;
-    the r rows whose result bit is 1 all carry it, and r * |a|^2 in
-    floating point is the correctly rounded sum that ``success_probability``
-    computes.
+    permutations only.  Bit j of a wire's plane is its value in row j; a
+    permutation XORs its flip rule, applied to the control planes, into
+    the target plane.  The r rows all carry the amplitude of the block's
+    butterfly, bit for bit the dense engine's, and r * |a|^2 in floating
+    point is the correctly rounded sum that ``success_probability`` computes.
     """
     width = seq.width
     check_width(width, cap)
-    if width > 63:
-        raise ValueError(f"width {width} exceeds the 63 bits of a row index")
     if not seq.ops or seq.ops[0].kind != "H_BLOCK":
         raise ValueError("the row engine needs a circuit that opens with an H_BLOCK")
     block, permutations = seq.ops[0], seq.ops[1:]
     if any(op.kind == "H_BLOCK" for op in permutations):
         raise ValueError("the row engine takes one H_BLOCK, then basis permutations only")
-    rows = np.zeros(1, dtype=np.int64)
+    rows = 1 << len(block.wires)
+    ones = (1 << rows) - 1
+    planes = {}
+    for i, wire in enumerate(block.wires):
+        # 2^i zeros then 2^i ones, doubled until it spans every row
+        run = 2 << i
+        plane = ((1 << (1 << i)) - 1) << (1 << i)
+        while run < rows:
+            plane |= plane << run
+            run <<= 1
+        planes[wire] = plane
+    for op in permutations:
+        controls = [
+            planes.get(wire, 0) ^ (ones if negated else 0)
+            for wire, negated in zip(op.controls, op.control_flags())
+        ]
+        flip = SEMANTICS[op.kind][1](*controls) if controls else ones
+        planes[op.target] = planes.get(op.target, 0) ^ flip
+    r = planes.get(width, 0).bit_count()
     amp = np.ones(1, dtype=np.complex128)
     empty = np.zeros(1, dtype=np.complex128)  # every partner across a block wire holds +0.0
     for wire in block.wires:
-        rows = np.concatenate((rows, rows | (1 << (width - wire))))
         amp = (amp + empty) * _SQRT1_2
-    for op in permutations:
-        rows = _permute(op, rows, width)
-    return np.count_nonzero(rows & 1) * float((np.abs(amp) ** 2)[0])
+    return r * float((np.abs(amp) ** 2)[0]), r

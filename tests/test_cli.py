@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chaossat
 from chaossat import cli
 
 SAT_TEXT = "p cnf 2 1\n1 2 0\n"
@@ -144,8 +148,34 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: width 4 exceeds cap 3\n"
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+    def test_width_26_stays_under_200_mib(self, tmp_path):
+        # the child reads its peak RSS as VmHWM: on Linux its ru_maxrss would
+        # also count the peak of this process, which it carries across exec
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 24 1\n1 2 0\n")
+        child = (
+            "import sys\n"
+            "from chaossat import cli\n"
+            "code = cli.main(['simulate', sys.argv[1]])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(*(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+            "          file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = os.path.dirname(os.path.dirname(chaossat.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["probability"] == 0.7499999999999971
+        assert payload["r_inferred"] == 3 * 2**22
+        assert int(done.stderr) / 1024 < 200  # VmHWM is in KiB
+
     def test_non_finite_value_is_refused_not_printed(self, capsys, monkeypatch, sat_file):
-        monkeypatch.setattr(cli.simulator, "row_probability", lambda seq, cap: float("nan"))
+        monkeypatch.setattr(cli.simulator, "row_probability", lambda seq, cap: (float("nan"), 0))
         assert cli.main(["simulate", sat_file]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""

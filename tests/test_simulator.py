@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ def dense_probability(circuit):
     return simulator.success_probability(state, circuit.layout)
 
 
+def basis_count(circuit):
+    """r from gates.run_basis over all 2^n inputs, work wires at 0."""
+    layout = circuit.layout
+    tail = GateSequence(layout.total, circuit.sequence.ops[1:])
+    work = (0,) * (layout.total - layout.n)
+    return sum(
+        gates.run_basis(tail, cnf.assignment_from_index(index, layout.n) + work)[-1]
+        for index in range(2**layout.n)
+    )
+
+
 class TestRowEngine:
     """simulator.row_probability against the dense engine, compared bit for bit."""
 
@@ -128,9 +140,10 @@ class TestRowEngine:
     @given(instance=cnf_instances())
     def test_matches_dense_engine_and_oracle(self, instance):
         circuit = compiler.compile(instance)
-        rows = simulator.row_probability(circuit.sequence)
-        assert rows.hex() == dense_probability(circuit).hex()
-        assert abs(rows - cnf.count_satisfying(instance) / 2**instance.n) < 1e-12
+        probability, r = simulator.row_probability(circuit.sequence)
+        assert probability.hex() == dense_probability(circuit).hex()
+        assert abs(probability - cnf.count_satisfying(instance) / 2**instance.n) < 1e-12
+        assert r == cnf.count_satisfying(instance) == basis_count(circuit)
 
     def test_sum_order_does_not_move_the_last_digit(self):
         # numpy's pairwise sum of the odd half reads 0.6249999999999996 here;
@@ -139,7 +152,21 @@ class TestRowEngine:
         assert cnf.count_satisfying(inst) == 40
         circuit = compiler.compile(inst)
         assert dense_probability(circuit) == 0.6249999999999994
-        assert simulator.row_probability(circuit.sequence) == 0.6249999999999994
+        assert simulator.row_probability(circuit.sequence) == (0.6249999999999994, 40)
+
+    def test_answers_past_63_wires(self):
+        # 3-SAT at n = 8, m = 24 compiles to 79 wires, more than an int64 row index holds
+        for seed in range(5):
+            rng = random.Random(seed)
+            clauses = tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 3))
+                for _ in range(24)
+            )
+            instance = CnfInstance(8, clauses)
+            circuit = compiler.compile(instance)
+            assert circuit.layout.total == 79
+            _, r = simulator.row_probability(circuit.sequence, cap=400)
+            assert r == cnf.count_satisfying(instance)
 
     @pytest.mark.parametrize(
         "seq, message",
@@ -147,7 +174,6 @@ class TestRowEngine:
             (GateSequence(2, ()), "opens with an H_BLOCK"),
             (GateSequence(2, (GateOp("CN", (1, 2)), H1)), "opens with an H_BLOCK"),
             (GateSequence(2, (H1, GateOp("CN", (1, 2)), H1)), "one H_BLOCK"),
-            (GateSequence(64, (H1,)), "63 bits"),
         ],
     )
     def test_refuses_what_is_not_a_block_then_permutations(self, seq, message):
@@ -186,8 +212,8 @@ class TestGateTable:
                 assert gates.run_basis(seq, image) == bits
 
 
-# the dense engine that simulator.apply replaced, which works on every
-# amplitude through views of the register, kept as the reference
+# the dense engine's whole-register passes, written out on their own and
+# kept as the reference that simulator.apply must match byte for byte
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
@@ -221,7 +247,7 @@ def reference_apply(state, seq):
     return out
 
 
-# signed zeros are drawn often: the support is defined by bits, not by value
+# signed zeros are drawn often: a pass must keep the sign of every zero
 PARTS = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2.0, 2.0))
 
 
@@ -263,7 +289,10 @@ def circuits(draw):
 
 
 class TestSupportEngine:
-    """simulator.apply against the dense reference, compared byte for byte."""
+    """simulator.apply against the dense reference, compared byte for byte.
+
+    The class name is historical and kept so that the test IDs stay stable.
+    """
 
     @pytest.mark.parametrize("kind", PERMUTATION_KINDS)
     @settings(max_examples=40, deadline=None)
