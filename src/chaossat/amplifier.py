@@ -14,6 +14,8 @@ from fractions import Fraction
 
 DEFAULT_A = 3.71
 DEFAULT_THRESHOLD = 0.5
+# `amplify --steps 1000000` holds its trajectory and CSV rows in about 260 MiB
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,8 @@ class LogisticParams:
             raise ValueError(f"map parameter must lie in [0, 4], got {self.a}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.max_steps > MAX_STEPS:
+            raise ValueError(f"max_steps must be <= {MAX_STEPS}, got {self.max_steps}")
         if not 0.0 <= self.threshold < 1.0:
             raise ValueError(f"threshold must lie in [0, 1), got {self.threshold}")
 

@@ -88,6 +88,8 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     instance = _read_instance(args.path)
+    if instance.n > args.width_cap:  # every circuit is wider than n; refuse before compiling
+        raise simulator.WidthCapError(f"n = {instance.n} exceeds width cap {args.width_cap}")
     circuit = compiler.compile(instance)
     layout = circuit.layout
     if args.dump_amplitudes and layout.total > 12:

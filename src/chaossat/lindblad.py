@@ -9,6 +9,7 @@ therefore distinguishes q > 0 from q = 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -70,6 +71,8 @@ class DissipativeParams:
     gamma: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        if not cmath.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if complex(self.gamma).real <= 0.0:
             raise ValueError(f"Re gamma must be positive, got {self.gamma}")
 

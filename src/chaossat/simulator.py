@@ -151,8 +151,7 @@ def row_probability(seq: GateSequence, cap: int = DEFAULT_WIDTH_CAP) -> tuple[fl
         flip = SEMANTICS[op.kind][1](*controls) if controls else ones
         planes[op.target] = planes.get(op.target, 0) ^ flip
     r = planes.get(width, 0).bit_count()
-    amp = np.ones(1, dtype=np.complex128)
-    empty = np.zeros(1, dtype=np.complex128)  # every partner across a block wire holds +0.0
-    for wire in block.wires:
-        amp = (amp + empty) * _SQRT1_2
-    return r * float((np.abs(amp) ** 2)[0]), r
+    a = 1.0
+    for _ in block.wires:
+        a *= _SQRT1_2
+    return r * (a * a), r

@@ -32,7 +32,7 @@ def random_instance(rng: random.Random, max_vars: int = 8, max_clauses: int = 12
         instance = cnf.CnfInstance(n, tuple(clauses))
         if max_total is None:
             return instance
-        if compiler.compute_layout(instance).total <= max_total:
+        if compiler.compile(instance).layout.total <= max_total:
             return instance
 
 

@@ -262,7 +262,8 @@ class TestCriterion8:
 
 
 class TestCriterion9:
-    # seven clauses whose slot counts sum to 17, so mu = 15, total = 24
+    # seven clauses on 10 work wires (2 per 3-literal clause, 1 per 2-literal
+    # clause) plus 5 AND-chain gaps, so mu = 15, total = 24
     BIG = CnfInstance(
         8,
         (
@@ -277,7 +278,7 @@ class TestCriterion9:
     )
 
     def test_end_to_end_solve(self, tmp_path, capsys):
-        layout = compiler.compute_layout(self.BIG)
+        layout = compiler.compile(self.BIG).layout
         assert (layout.n, layout.mu, layout.total) == (8, 15, 24)
         path = tmp_path / "big.cnf"
         path.write_text(cnf.render_dimacs(self.BIG))

@@ -32,6 +32,14 @@ class TestLogisticStep:
         assert 0.0 <= amplifier.logistic_step(x, a) <= 1.0
 
 
+class TestLogisticParams:
+    def test_step_count_is_bounded(self):
+        assert LogisticParams(max_steps=10**6).max_steps == amplifier.MAX_STEPS
+        for steps in (-1, 10**6 + 1):
+            with pytest.raises(ValueError, match="max_steps"):
+                LogisticParams(max_steps=steps)
+
+
 class TestIterate:
     def test_zero_never_crosses(self):
         trajectory = amplifier.iterate(0.0, LogisticParams(max_steps=40))

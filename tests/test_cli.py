@@ -148,6 +148,20 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: width 4 exceeds cap 3\n"
 
+    def test_more_variables_than_the_cap_are_refused_before_compiling(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_compile(instance):
+            pytest.fail("simulate compiled a circuit for more variables than the cap")
+
+        path = tmp_path / "huge.cnf"
+        path.write_text("p cnf 4000000 1\n1 0\n")
+        monkeypatch.setattr(cli.compiler, "compile", no_compile)
+        assert cli.main(["simulate", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n = 4000000 exceeds width cap 26\n"
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
     def test_width_26_stays_under_200_mib(self, tmp_path):
         # the child reads its peak RSS as VmHWM: on Linux its ru_maxrss would
@@ -218,6 +232,15 @@ class TestAmplify:
         assert captured.err.startswith("error: threshold must lie in [0, 1)")
 
 
+    @pytest.mark.parametrize("command", ["amplify", "solve"])
+    def test_steps_above_a_million_are_refused(self, capsys, sat_file, command):
+        args = ["--q2", "0"] if command == "amplify" else [sat_file]
+        assert cli.main([command, *args, "--steps", "1000001"]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_steps must be <= 1000000, got 1000001\n"
+
+
 class TestLindblad:
     def test_nonzero_q(self, capsys):
         code, payload = run(capsys, "lindblad", "--q", "0.03125", "--csv", "/dev/null")
@@ -250,6 +273,18 @@ class TestLindblad:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("command", ["lindblad", "solve"])
+    @pytest.mark.parametrize(
+        "gamma", ["--gamma-re=nan", "--gamma-re=inf", "--gamma-im=nan", "--gamma-im=-inf"]
+    )
+    def test_non_finite_gamma_is_clean_exit(self, capsys, sat_file, command, gamma):
+        args = ["--q", "0.5"] if command == "lindblad" else [sat_file, "--engine", "lindblad"]
+        assert cli.main([command, *args, gamma]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gamma must be finite, got ")
 
 
 def cx(matrix):

@@ -145,7 +145,7 @@ def instances(draw, min_n=1, max_n=5):
 
 
 @settings(max_examples=100, deadline=None)
-@given(instances())
+@given(st.one_of(instances(), instances(min_n=6, max_n=40)))
 def test_dimacs_round_trip(inst):
     assert cnf.parse_dimacs(cnf.render_dimacs(inst)) == inst
 

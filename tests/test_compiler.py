@@ -1,26 +1,52 @@
-import pytest
 from conftest import random_instance
 
 from chaossat import cnf, compiler, gates
 from chaossat.cnf import CnfInstance
-from chaossat.compiler import compute_layout
+
+
+def work_wires(clause):
+    return max(len(clause) - 1, 1)
+
+
+def closed_form_starts(instance):
+    """s_k = n + 1 + sum over j < k of max(|c_j| - 1, 1) + max(k - 1, 0) gap wires."""
+    clauses = instance.clauses
+    return tuple(
+        instance.n + 1 + sum(map(work_wires, clauses[:k])) + max(k - 1, 0)
+        for k in range(len(clauses))
+    )
 
 
 def closed_form_mu(instance):
-    return sum(len(c) + (1 if len(c) == 1 else 0) for c in instance.clauses) - 2
+    return sum(map(work_wires, instance.clauses)) + max(instance.m - 2, 0)
+
+
+def layout_of(instance):
+    return compiler.compile(instance).layout
+
+
+def clause_fragments(instance):
+    """The clause gates of the compiled circuit, grouped by the work region they target."""
+    circuit = compiler.compile(instance)
+    bounds = (*circuit.layout.s, circuit.layout.total)
+    clause_ops = [op for op in circuit.sequence.ops[1:] if op.kind != "AND"]
+    return [
+        [op for op in clause_ops if lo <= op.target < hi]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 class TestComputeLayout:
     def test_two_binary_clauses(self):
         inst = CnfInstance(2, ((1, 2), (-1, 2)))
-        layout = compute_layout(inst)
+        layout = layout_of(inst)
         assert layout.s == (3, 4)
         assert layout.mu == 2
         assert layout.total == 5
 
     def test_two_unit_clauses(self):
         inst = CnfInstance(1, ((1,), (-1,)))
-        layout = compute_layout(inst)
+        layout = layout_of(inst)
         assert layout.s == (2, 3)
         assert layout.mu == 2
         assert layout.total == 4
@@ -28,21 +54,27 @@ class TestComputeLayout:
 
     def test_three_binary_clauses(self):
         inst = CnfInstance(3, ((1, 2), (2, 3), (1, 3)))
-        layout = compute_layout(inst)
+        layout = layout_of(inst)
         assert layout.s == (4, 5, 7)
         assert layout.mu == 4
         assert layout.total == 8
 
     def test_closed_form_agreement(self, rng):
-        for _ in range(100):
-            inst = random_instance(rng, max_vars=8, max_clauses=10)
-            if inst.m < 2:
-                continue
-            assert compute_layout(inst).mu == closed_form_mu(inst)
+        fixed = [
+            CnfInstance(3, ((-2,),)),
+            CnfInstance(4, ((1, -2, 4),)),
+            CnfInstance(2, ((1, -1), (2,), (-2, 1, -1), (2, 1))),
+        ]
+        drawn = [random_instance(rng, max_vars=8, max_clauses=10) for _ in range(100)]
+        assert any(inst.m == 1 for inst in drawn)
+        for inst in fixed + drawn:
+            layout = layout_of(inst)
+            assert layout.s == closed_form_starts(inst)
+            assert layout.mu == closed_form_mu(inst)
 
     def test_single_clause(self):
         inst = CnfInstance(2, ((1, 2),))
-        layout = compute_layout(inst)
+        layout = layout_of(inst)
         assert layout.mu == 1
         assert layout.total == 4
 
@@ -50,26 +82,34 @@ class TestComputeLayout:
 class TestCompileClause:
     def test_two_literal_clause_is_single_or(self):
         inst = CnfInstance(2, ((1, 2), (1, 2)))
-        layout = compute_layout(inst)
-        ops = compiler.compile_clause(inst, 0, layout)
+        ops = clause_fragments(inst)[0]
         assert len(ops) == 1
         assert ops[0].kind == "OR"
-        assert ops[0].wires == (1, 2, layout.s[0])
+        assert ops[0].wires == (1, 2, layout_of(inst).s[0])
 
     def test_negated_unit_clause_is_conjugated_copy(self):
         inst = CnfInstance(1, ((-1,), (1,)))
-        layout = compute_layout(inst)
-        ops = compiler.compile_clause(inst, 0, layout)
+        ops = clause_fragments(inst)[0]
         assert len(ops) == 1
         assert ops[0].kind == "COPY"
         assert ops[0].negate_controls == (True,)
 
     def test_three_literal_chain(self):
         inst = CnfInstance(3, ((1, 2, 3), (1, 2)))
-        layout = compute_layout(inst)
-        ops = compiler.compile_clause(inst, 0, layout)
-        w = layout.s[0]
+        ops = clause_fragments(inst)[0]
+        w = layout_of(inst).s[0]
         assert [op.wires for op in ops] == [(1, 2, w), (3, w, w + 1)]
+
+    def test_tautological_leading_pair_is_not_then_chain(self):
+        inst = CnfInstance(2, ((2, 1), (-1, 1, -2)))
+        first, second = clause_fragments(inst)
+        assert [(op.kind, op.wires, op.negate_controls) for op in first] == [
+            ("OR", (1, 2, 3), (False, False)),
+        ]
+        assert [(op.kind, op.wires, op.negate_controls) for op in second] == [
+            ("NOT", (4,), ()),
+            ("OR", (2, 4, 5), (True, False)),
+        ]
 
 
 def basis_outputs_match_evaluate(instance):
@@ -97,6 +137,15 @@ class TestCompile:
         kinds = [op.kind for op in circuit.sequence.ops]
         assert kinds == ["H_BLOCK", "OR", "COPY"]
         assert circuit.sequence.ops[-1].wires[-1] == circuit.layout.total
+
+    def test_and_chain_reads_clause_results_and_gaps(self):
+        inst = CnfInstance(3, ((1,), (2, 3), (1, -3, 2), (-2,)))
+        circuit = compiler.compile(inst)
+        assert circuit.layout.s == (4, 5, 7, 10)
+        chain = [op.wires for op in circuit.sequence.ops if op.kind == "AND"]
+        # clause results on 4, 5, 8 and 10; partials on the gaps 6 and 9
+        assert chain == [(4, 5, 6), (6, 8, 9), (9, 10, 11)]
+        assert circuit.sequence.width == circuit.layout.total == 11
 
     def test_contradiction_always_zero(self):
         inst = CnfInstance(1, ((1,), (-1,)))

@@ -42,6 +42,12 @@ class TestParams:
         with pytest.raises(ValueError):
             DissipativeParams(0.0 + 3.0j)
 
+    @pytest.mark.parametrize("gamma", [complex(1.0, math.nan), complex(math.nan, 0.0),
+                                       complex(math.inf, 0.0), complex(1.0, -math.inf)])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            DissipativeParams(gamma)
+
     def test_levels_must_be_ordered_integers(self):
         with pytest.raises(ValueError):
             HamiltonianParams(2, 1)

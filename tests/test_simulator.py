@@ -113,7 +113,7 @@ def cnf_clauses(draw, n):
 def cnf_instances(draw, max_width=18):
     n = draw(st.integers(1, 8))
     instance = CnfInstance(n, tuple(draw(st.lists(cnf_clauses(n), min_size=1, max_size=4))))
-    assume(compiler.compute_layout(instance).total <= max_width)
+    assume(compiler.compile(instance).layout.total <= max_width)
     return instance
 
 
