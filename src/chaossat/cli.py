@@ -174,16 +174,18 @@ def cmd_solve(args) -> int:
         return result
 
     instance = timed("parse", _read_instance, args.path)
+    chaos = args.engine in ("chaos", "both")
+    if chaos:  # bad parameters are refused before the oracle and the engine run
+        if args.steps is None:
+            params = amplifier.params_for_instance(instance.n, a=args.a)
+        else:
+            params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
     r = timed("oracle", cnf.count_satisfying, instance)
     circuit = timed("compile", compiler.compile, instance)
     probability, _ = timed("simulate", simulator.row_probability, circuit.sequence, args.width_cap)
     report = {**_sizes(instance, circuit), "r": r, "probability": probability}
     verdicts = []
-    if args.engine in ("chaos", "both"):
-        if args.steps is None:
-            params = amplifier.params_for_instance(instance.n, a=args.a)
-        else:
-            params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
+    if chaos:
         decision, trajectory = timed("amplify", amplifier.decide_sat, probability, params)
         report["chaos"] = {
             "decision": decision,

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_BRUTE_FORCE_LIMIT = 24
-# count_satisfying enumerates 2**_CHUNK_LOG2 assignments at a time (128 KiB per plane)
-_CHUNK_LOG2 = 20
+# count_satisfying holds the low index bits as planes over one run of 2**_RUN_LOG2
+# assignments (2 KiB) and ORs the runs of at most _BATCH clauses at a time
+_RUN_LOG2 = 14
+_BATCH = 64
 _ONES = (1 << 64) - 1
 # _WORD_PATTERNS[s] has bit j set where bit s of j is set, for j < 64
 _WORD_PATTERNS = tuple(sum(1 << j for j in range(64) if j >> s & 1) for s in range(6))
@@ -148,34 +151,75 @@ def count_satisfying(instance: CnfInstance, limit: int = DEFAULT_BRUTE_FORCE_LIM
 
     Bit k of the assignment index is variable k read from the most
     significant position, matching the simulator's qubit ordering.  The
-    indices are enumerated in chunks of 2**_CHUNK_LOG2, each held as
-    packed 64-bit words: index bit s is variable n - s, a plane of words
-    for the low bits and one constant per chunk for the high bits, so
-    memory does not grow with n.
+    2**n assignments are held as packed 64-bit words (Biham's bit-slicing,
+    FSE 1997) in a ``(2,) * high`` array of runs of 2**low assignments,
+    low = min(n, _RUN_LOG2).  Variables 1 .. high are the array's axes;
+    the low variables are planes over one run, read from a fixed table.
+
+    A clause is false only where each of its high literals is false, so
+    it is one in-place AND of its low literals' OR onto that subcube.  A
+    clause that holds v and -v on a high variable is skipped; clauses with
+    no high literal are folded into one AND over the whole array.  Memory
+    is 2**n / 8 bytes for the array plus one batch of _BATCH runs,
+    whatever m is.
     """
     n = instance.n
     if n > limit:
         raise BruteForceLimitError(f"n={n} exceeds brute-force limit {limit}")
-    low = min(n, _CHUNK_LOG2)
-    words = max(1, 2**low // 64)
-    planes = [_plane(s, words) for s in range(low)]
-    total = 0
-    for chunk in range(2 ** (n - low)):
-        sat = np.full(words, _ONES, dtype=np.uint64)
-        for clause in instance.clauses:
-            value = np.zeros(words, dtype=np.uint64)
+    low = min(n, _RUN_LOG2)
+    high = n - low
+    table = _run_table(low)
+    every = slice(None)
+    width = max(map(len, instance.clauses))
+    pad = [low] * width  # the zero row
+    # only the 2**low valid bits of a partial word are set, so no AND clears the rest
+    sat = np.full((2,) * high + table.shape[1:], (1 << min(64, 2**low)) - 1, dtype=np.uint64)
+    fold = sat[(0,) * high].copy()  # the AND of the clauses with no high literal
+    for start in range(0, instance.m, _BATCH):
+        cubes = []
+        rows = []  # each clause's low rows, padded to width
+        for clause in instance.clauses[start:start + _BATCH]:
+            where = [every] * high
+            lows = []
             for lit in clause:
-                s = n - abs(lit)
-                if s < low:
-                    value |= ~planes[s] if lit < 0 else planes[s]
-                elif (chunk >> (s - low) & 1) ^ (lit < 0):
-                    break  # a high literal true on the whole chunk satisfies the clause
+                v = abs(lit)
+                if v > high:
+                    lows.append(n - v if lit > 0 else low + 1 + n - v)
+                elif where[v - 1] is every:
+                    where[v - 1] = int(lit < 0)  # the value at which lit is false
+                else:
+                    break  # v and -v: the clause is true everywhere
             else:
-                sat &= value
-        if low < 6:
-            sat &= np.uint64((1 << 2**low) - 1)  # one partial word
-        total += int.from_bytes(sat.tobytes(), "little").bit_count()
-    return total
+                cubes.append(tuple(where) if len(lows) < len(clause) else None)
+                rows += lows
+                rows += pad[len(lows):]
+        rows = np.array(rows, dtype=np.intp).reshape(-1, width)
+        runs = table[rows[:, 0]]
+        for column in rows.T[1:]:
+            runs |= table[column]
+        for where, run in zip(cubes, runs):
+            if where is None:
+                fold &= run
+            else:
+                cube = sat[where]  # a view: `sat[where] &= run` would also copy it back
+                cube &= run
+    sat &= fold
+    return int.from_bytes(sat.tobytes(), "little").bit_count()
+
+
+@functools.cache
+def _run_table(low: int) -> np.ndarray:
+    """Read-only rows over one run of 2**low assignments: the low planes,
+    one zero row, then the planes' complements.
+
+    Row s is index bit s (variable n - s), row low is zero and row
+    low + 1 + s is the complement of row s.
+    """
+    words = max(1, 2**low // 64)
+    planes = np.array([_plane(s, words) for s in range(low)], dtype=np.uint64)
+    table = np.concatenate([planes, np.zeros((1, words), dtype=np.uint64), ~planes])
+    table.flags.writeable = False
+    return table
 
 
 def _plane(s: int, words: int) -> np.ndarray:

@@ -240,6 +240,18 @@ class TestAmplify:
         assert captured.out == ""
         assert captured.err == "error: max_steps must be <= 1000000, got 1000001\n"
 
+    def test_solve_refuses_steps_before_the_oracle(self, capsys, monkeypatch, tmp_path):
+        def oracle(*args, **kwargs):
+            pytest.fail("solve ran the oracle before refusing --steps")
+
+        monkeypatch.setattr(cli.cnf, "count_satisfying", oracle)
+        path = tmp_path / "n24.cnf"
+        path.write_text("p cnf 24 1\n1 2 0\n")
+        assert cli.main(["solve", str(path), "--steps", "2000000"]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_steps must be <= 1000000, got 2000000\n"
+
 
 class TestLindblad:
     def test_nonzero_q(self, capsys):

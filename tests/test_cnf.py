@@ -166,33 +166,72 @@ def test_adding_satisfied_literal_is_monotone(inst, idx):
 
 
 class TestPackedPlanes:
-    """count_satisfying's packed planes against evaluate, one assignment at a time."""
+    """count_satisfying's packed runs against evaluate, one assignment at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(instances(max_n=10))
     def test_count_matches_evaluate(self, inst):
-        # n < 6 is one partial word, n = 6 exactly one word
+        # one run: n < 6 is one partial word, n = 6 exactly one word
         assert cnf.count_satisfying(inst) == direct_count(inst)
 
     @settings(max_examples=100, deadline=None)
-    @given(instances(min_n=7, max_n=10))
+    @given(instances(min_n=7, max_n=12))
     def test_count_matches_evaluate_across_chunks(self, inst):
+        # variables 1 .. n - 6 are axes, so clauses apply to subcubes over several axes
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cnf, "_CHUNK_LOG2", 6)
+            mp.setattr(cnf, "_RUN_LOG2", 6)
             assert cnf.count_satisfying(inst) == direct_count(inst)
+
+    @pytest.mark.parametrize(
+        "clauses",
+        [
+            ((1, -1, 8), (2, -3)),
+            ((-2, 1, 2), (1, -1)),
+            ((1, -2),),
+            ((1, 2), (-1, -2), (2, 7)),
+            ((5, -6, 7, 8), (3, -3), (-8,)),
+            ((1, 2), (-1, 3, 7), (4, -8), (-2, -1, 5)),
+        ],
+        ids=[
+            "tautology-high", "only-tautologies", "only-high", "high-and-mixed", "only-low",
+            "all-kinds",
+        ],
+    )
+    def test_hand_written_subcubes(self, clauses):
+        # n = 8 over runs of 2**6: variables 1 and 2 are axes, 3 .. 8 are planes
+        inst = CnfInstance(8, clauses)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cnf, "_RUN_LOG2", 6)
+            assert cnf.count_satisfying(inst) == direct_count(inst)
+
+    @pytest.mark.parametrize(
+        "n", [5, 6, cnf._RUN_LOG2 + 1], ids=["below-one-word", "one-word", "one-axis"]
+    )
+    def test_run_boundaries(self, n):
+        # at n = _RUN_LOG2 + 1 variable 1 is the only axis
+        inst = CnfInstance(n, ((1, -n), (-1, 2, n - 1), (1, -1, 3), (-2, n - 2, -3), (-1,)))
+        assert cnf.count_satisfying(inst) == direct_count(inst)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_low_planes_match_assignment_bits(self, n):
-        words = max(1, 2**n // 64)
+        # the run table for low = n: rows 0 .. n - 1 are index bits, then a zero row,
+        # then the complements
+        table = cnf._run_table(n)
+        assert not table.flags.writeable
+        assert not table[n].any()
         for variable in range(1, n + 1):
-            plane = cnf._plane(n - variable, words)
-            packed = sum(int(word) << (64 * k) for k, word in enumerate(plane))
+            s = n - variable
+            plane, complement = (
+                sum(int(word) << (64 * k) for k, word in enumerate(row))
+                for row in (table[s], table[n + 1 + s])
+            )
             for index in range(2**n):
                 bit = cnf.assignment_from_index(index, n)[variable - 1]
-                assert (packed >> index) & 1 == bit
+                assert (plane >> index) & 1 == bit
+                assert (complement >> index) & 1 == 1 - bit
 
     def test_count_at_the_limit_is_exact_int(self):
-        # variables 1 and 2 are constant within each chunk, variable 24 is a plane
+        # variables 1 .. 10 are axes of the array of runs, variable 24 is a plane
         inst = CnfInstance(24, ((1, -24), (-1, 2)))
         r = cnf.count_satisfying(inst)
         assert type(r) is int
@@ -203,6 +242,25 @@ class TestPackedPlanes:
         n, m = 22, 92
         inst = CnfInstance(n, tuple(
             tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(m)
+        ))
+        tracemalloc.start()
+        try:
+            cnf.count_satisfying(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_memory_does_not_grow_with_m(self):
+        # 2000 clauses at n = 24: the 2 MiB array plus one batch of runs
+        rng = random.Random(23)
+        n, m = 24, 2000
+        inst = CnfInstance(n, tuple(
+            tuple(
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), rng.randint(1, 12))
+            )
             for _ in range(m)
         ))
         tracemalloc.start()
