@@ -26,6 +26,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
 EXIT_DISAGREEMENT = 3
+COMPILE_LIMIT = 1 << 16  # variables; the circuit JSON at the limit is about 1.1 MB
 
 
 def _emit(payload: dict) -> None:
@@ -38,10 +39,7 @@ def _read_instance(path: str) -> cnf.CnfInstance:
 
 
 def _parse_q2(text: str) -> float:
-    if "/" in text:
-        frac = Fraction(text)
-        return frac.numerator / frac.denominator
-    return float(text)
+    return float(Fraction(text)) if "/" in text else float(text)
 
 
 def _write_csv(path: str | None, header: str, rows) -> None:
@@ -75,6 +73,8 @@ def _sizes(instance: cnf.CnfInstance, circuit: compiler.CompiledCircuit) -> dict
 
 def cmd_compile(args) -> int:
     instance = _read_instance(args.path)
+    if instance.n > COMPILE_LIMIT:  # refused from the header, before compiling
+        raise ValueError(f"n = {instance.n} exceeds compile limit {COMPILE_LIMIT}")
     circuit = compiler.compile(instance)
     _emit(
         {
@@ -88,21 +88,22 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     instance = _read_instance(args.path)
-    if instance.n > args.width_cap:  # every circuit is wider than n; refuse before compiling
-        raise simulator.WidthCapError(f"n = {instance.n} exceeds width cap {args.width_cap}")
+    limit = cnf.DEFAULT_BRUTE_FORCE_LIMIT  # solve's oracle refuses the same n
+    if instance.n > limit:  # refused from the header, before compiling
+        raise simulator.WidthCapError(f"n = {instance.n} exceeds row engine limit {limit}")
     circuit = compiler.compile(instance)
     layout = circuit.layout
     if args.dump_amplitudes and layout.total > 12:
         print("amplitude dump capped at width 12", file=sys.stderr)
         return EXIT_ERROR
-    probability, r = simulator.row_probability(circuit.sequence, args.width_cap)
+    probability, r = simulator.row_probability(circuit.sequence)
     payload = {
         "probability": probability,
         "r_inferred": r,
         "layout": {"n": layout.n, "mu": layout.mu, "total": layout.total},
     }
     if args.dump_amplitudes:
-        state = simulator.apply(simulator.init_state(layout), circuit.sequence)
+        state = simulator.apply(simulator.init_state(layout, args.width_cap), circuit.sequence)
         payload["amplitudes"] = [[float(a.real), float(a.imag)] for a in state.amps]
     _emit(payload)
     return 0
@@ -123,8 +124,7 @@ def cmd_lindblad(args) -> int:
     decision, classification, record = lindblad.discriminate(
         args.q, gamma, energies, t_final=args.t_final, dt=args.dt
     )
-    rows = zip(record.times, record.p1, record.abs_c)
-    _write_csv(args.csv, "t,p1,abs_c", [(t, p, c) for t, p, c in rows])
+    _write_csv(args.csv, "t,p1,abs_c", zip(record.times, record.p1, record.abs_c))
     _emit({"classification": classification, "decision": decision})
     return 0
 
@@ -180,9 +180,11 @@ def cmd_solve(args) -> int:
             params = amplifier.params_for_instance(instance.n, a=args.a)
         else:
             params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
+    if args.engine in ("lindblad", "both"):
+        gamma = lindblad.DissipativeParams(complex(args.gamma_re, args.gamma_im)).gamma
     r = timed("oracle", cnf.count_satisfying, instance)
     circuit = timed("compile", compiler.compile, instance)
-    probability, _ = timed("simulate", simulator.row_probability, circuit.sequence, args.width_cap)
+    probability, rows = timed("simulate", simulator.row_probability, circuit.sequence)
     report = {**_sizes(instance, circuit), "r": r, "probability": probability}
     verdicts = []
     if chaos:
@@ -193,11 +195,10 @@ def cmd_solve(args) -> int:
         }
         verdicts.append(decision)
     if args.engine in ("lindblad", "both"):
-        q = float(np.sqrt(probability))
-        if q >= 1.0 - 1e-12:  # simulated tautologies round to just under 1
+        if rows == 1 << instance.n:  # a tautology: the probe cannot decide q = 1
             report["lindblad"] = {"decision": "unsupported", "reason": "q = 1"}
         else:
-            gamma = complex(args.gamma_re, args.gamma_im)
+            q = float(np.sqrt(probability))
             decision, classification, _ = timed("lindblad", lindblad.discriminate, q, gamma)
             report["lindblad"] = {
                 "decision": decision,
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chaossat")
     parser.add_argument(
         "--width-cap", type=int, default=simulator.DEFAULT_WIDTH_CAP,
-        help="widest register simulate and solve accept (the oracle has its own limit)",
+        help="widest dense state vector, which only simulate --dump-amplitudes builds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -204,7 +204,8 @@ def count_satisfying(instance: CnfInstance, limit: int = DEFAULT_BRUTE_FORCE_LIM
                 cube = sat[where]  # a view: `sat[where] &= run` would also copy it back
                 cube &= run
     sat &= fold
-    return int.from_bytes(sat.tobytes(), "little").bit_count()
+    slices = sat.reshape(-1, min(sat.size, 2**14))  # 128 KiB each: the array is never copied
+    return sum(int.from_bytes(s.tobytes(), "little").bit_count() for s in slices)
 
 
 @functools.cache

@@ -15,8 +15,8 @@ target.
 block followed only by basis permutations, so its state is a sum of 2^k
 basis rows (k wires in the block) that all carry one amplitude.  The
 engine holds each wire as a bit plane over those rows and counts the
-rows whose result bit is 1 exactly; its memory is about one 2^k-bit int
-per written wire.
+rows whose result bit is 1 exactly.  It holds one 2^k-bit int per written
+wire, and refuses width * 2^k > MAX_PLANE_BITS before it builds any.
 """
 
 from __future__ import annotations
@@ -30,19 +30,13 @@ from .compiler import QubitLayout
 from .gates import SEMANTICS, GateSequence
 
 DEFAULT_WIDTH_CAP = 26
+MAX_PLANE_BITS = DEFAULT_WIDTH_CAP << 24  # 52 MiB, the planes of width 26 at n = 24
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 class WidthCapError(ValueError):
-    """Register would exceed the configured memory bound."""
-
-
-def check_width(width: int, cap: int = DEFAULT_WIDTH_CAP) -> None:
-    if width > cap:
-        raise WidthCapError(f"width {width} exceeds cap {cap}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+    """A register or its bit planes would exceed a memory bound."""
 
 
 @dataclass
@@ -63,7 +57,10 @@ class StateVector:
 def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
     """The all-zeros basis state for a layout (or explicit width)."""
     width = layout if isinstance(layout, int) else layout.total
-    check_width(width, cap)
+    if width > cap:
+        raise WidthCapError(f"width {width} exceeds cap {cap}")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     amps = np.zeros(2**width, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(width, amps)
@@ -114,7 +111,7 @@ def success_probability(state: StateVector, layout: QubitLayout) -> float:
     return math.fsum((np.abs(odd[odd != 0]) ** 2).tolist())
 
 
-def row_probability(seq: GateSequence, cap: int = DEFAULT_WIDTH_CAP) -> tuple[float, int]:
+def row_probability(seq: GateSequence) -> tuple[float, int]:
     """Probability that the result qubit (the last wire) reads 1, and the
     number r of basis rows in which it does.
 
@@ -126,13 +123,14 @@ def row_probability(seq: GateSequence, cap: int = DEFAULT_WIDTH_CAP) -> tuple[fl
     point is the correctly rounded sum that ``success_probability`` computes.
     """
     width = seq.width
-    check_width(width, cap)
     if not seq.ops or seq.ops[0].kind != "H_BLOCK":
         raise ValueError("the row engine needs a circuit that opens with an H_BLOCK")
     block, permutations = seq.ops[0], seq.ops[1:]
+    rows = 1 << len(block.wires)
+    if width * rows > MAX_PLANE_BITS:
+        raise WidthCapError(f"width {width} at {rows} rows exceeds {MAX_PLANE_BITS} plane bits")
     if any(op.kind == "H_BLOCK" for op in permutations):
         raise ValueError("the row engine takes one H_BLOCK, then basis permutations only")
-    rows = 1 << len(block.wires)
     ones = (1 << rows) - 1
     planes = {}
     for i, wire in enumerate(block.wires):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -106,6 +107,25 @@ class TestCompile:
             ],
         }
 
+    def test_oversized_header_is_refused_before_compiling(self, capsys, monkeypatch, tmp_path):
+        def no_compile(instance):
+            pytest.fail("compile ran on more variables than its limit")
+
+        monkeypatch.setattr(cli.compiler, "compile", no_compile)
+        path = tmp_path / "huge.cnf"
+        path.write_text("p cnf 4000000 1\n1 0\n")
+        assert cli.main(["compile", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n = 4000000 exceeds compile limit 65536\n"
+
+    def test_the_limit_itself_compiles(self, capsys, tmp_path):
+        path = tmp_path / "limit.cnf"
+        path.write_text(f"p cnf {2**16} 1\n1 0\n")
+        code, payload = run(capsys, "compile", str(path))
+        assert code == 0
+        assert payload["n"] == 2**16
+
 
 class TestSimulate:
     def test_probability(self, capsys, sat_file):
@@ -134,7 +154,9 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "amplitude dump capped at width 12\n"
 
-    def test_builds_no_state_vector_and_keeps_the_width_cap(self, capsys, monkeypatch, sat_file):
+    def test_builds_no_state_vector_and_ignores_the_width_cap(
+        self, capsys, monkeypatch, sat_file
+    ):
         def dense(*args, **kwargs):
             pytest.fail("simulate built the dense state without --dump-amplitudes")
 
@@ -143,7 +165,11 @@ class TestSimulate:
         code, payload = run(capsys, "simulate", sat_file)
         assert code == 0
         assert payload["probability"] == pytest.approx(0.75)
-        assert cli.main(["--width-cap", "3", "simulate", sat_file]) == cli.EXIT_ERROR
+        # the cap bounds only the dense vector, which plain simulate never builds
+        assert run(capsys, "--width-cap", "3", "simulate", sat_file) == (0, payload)
+
+    def test_width_cap_bounds_the_amplitude_dump(self, capsys, sat_file):
+        assert cli.main(["--width-cap", "3", "simulate", sat_file, "--dump-amplitudes"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: width 4 exceeds cap 3\n"
@@ -151,16 +177,18 @@ class TestSimulate:
     def test_more_variables_than_the_cap_are_refused_before_compiling(
         self, capsys, monkeypatch, tmp_path
     ):
+        # the row engine takes the oracle's limit, n <= 24, whatever --width-cap says
         def no_compile(instance):
-            pytest.fail("simulate compiled a circuit for more variables than the cap")
+            pytest.fail("simulate compiled a circuit for more variables than the limit")
 
-        path = tmp_path / "huge.cnf"
-        path.write_text("p cnf 4000000 1\n1 0\n")
         monkeypatch.setattr(cli.compiler, "compile", no_compile)
-        assert cli.main(["simulate", str(path)]) == cli.EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: n = 4000000 exceeds width cap 26\n"
+        path = tmp_path / "huge.cnf"
+        for n in (25, 4000000):
+            path.write_text(f"p cnf {n} 1\n1 0\n")
+            assert cli.main(["--width-cap", "40", "simulate", str(path)]) == cli.EXIT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: n = {n} exceeds row engine limit 24\n"
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
     def test_width_26_stays_under_200_mib(self, tmp_path):
@@ -189,7 +217,7 @@ class TestSimulate:
         assert int(done.stderr) / 1024 < 200  # VmHWM is in KiB
 
     def test_non_finite_value_is_refused_not_printed(self, capsys, monkeypatch, sat_file):
-        monkeypatch.setattr(cli.simulator, "row_probability", lambda seq, cap: (float("nan"), 0))
+        monkeypatch.setattr(cli.simulator, "row_probability", lambda seq: (float("nan"), 0))
         assert cli.main(["simulate", sat_file]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -427,7 +455,9 @@ class TestSolve:
         assert payload["status"] == "UNSAT"
         assert payload["chaos"]["first_crossing"] is None
 
-    def test_builds_no_state_vector_and_keeps_the_width_cap(self, capsys, monkeypatch, sat_file):
+    def test_builds_no_state_vector_and_ignores_the_width_cap(
+        self, capsys, monkeypatch, sat_file
+    ):
         def dense(*args, **kwargs):
             pytest.fail("solve ran the dense engine")
 
@@ -436,10 +466,52 @@ class TestSolve:
         code, payload = run(capsys, "solve", sat_file, "--engine", "both")
         assert code == cli.EXIT_SAT
         assert payload["probability"] == pytest.approx(0.75)
-        assert cli.main(["--width-cap", "3", "solve", sat_file]) == cli.EXIT_ERROR
+        code, capped = run(capsys, "--width-cap", "3", "solve", sat_file, "--engine", "both")
+        assert code == cli.EXIT_SAT
+        del payload["timings"], capped["timings"]
+        assert capped == payload
+
+    @pytest.mark.parametrize("n, m", [(8, m) for m in range(7, 25)] + [(18, 76)])
+    def test_runs_past_the_old_width_cap(self, capsys, monkeypatch, tmp_path, n, m):
+        # 3-SAT at n = 8, m = 7 compiles to 28 wires, n = 18, m = 76 to 245;
+        # the engine's own count must equal the oracle's
+        counts = []
+        row_probability = cli.simulator.row_probability
+
+        def engine(seq):
+            probability, rows = row_probability(seq)
+            counts.append(rows)
+            return probability, rows
+
+        monkeypatch.setattr(cli.simulator, "row_probability", engine)
+        rng = random.Random(1000 * n + m)
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(m)
+        ]
+        instance = cli.cnf.CnfInstance(n, tuple(clauses))
+        path = tmp_path / "random.cnf"
+        path.write_text(cli.cnf.render_dimacs(instance))
+        code, payload = run(capsys, "solve", str(path))
+        r = cli.cnf.count_satisfying(instance)
+        assert payload["total_qubits"] > 26
+        assert counts == [r] and payload["r"] == r
+        assert code == (cli.EXIT_SAT if r else cli.EXIT_UNSAT)
+
+    @pytest.mark.parametrize("engine", ["lindblad", "both"])
+    @pytest.mark.parametrize("gamma", ["--gamma-re=nan", "--gamma-re=0", "--gamma-re=-1"])
+    def test_gamma_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path, engine,
+                                                 gamma):
+        def oracle(*args, **kwargs):
+            pytest.fail("solve ran the oracle before refusing gamma")
+
+        monkeypatch.setattr(cli.cnf, "count_satisfying", oracle)
+        path = tmp_path / "n24.cnf"
+        path.write_text("p cnf 24 1\n1 2 0\n")
+        assert cli.main(["solve", str(path), "--engine", engine, gamma]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: width 4 exceeds cap 3\n"
+        assert "gamma must be" in captured.err and captured.err.startswith("error: ")
 
     def test_both_engines_agree(self, capsys, sat_file):
         code, payload = run(capsys, "solve", sat_file, "--engine", "both")
@@ -455,6 +527,17 @@ class TestSolve:
         assert payload["lindblad"] == {"decision": "unsupported", "reason": "q = 1"}
         assert payload["status"] == "FAILED"
         assert "lindblad" not in payload["timings"]
+
+    def test_lindblad_unsupported_on_a_20_variable_tautology(self, capsys, tmp_path):
+        # the engine counts r = 2^20 exactly; its probability rounds to just under 1
+        path = tmp_path / "taut20.cnf"
+        path.write_text("p cnf 20 2\n1 -1 0\n20 -20 2 0\n")
+        code, payload = run(capsys, "solve", str(path), "--engine", "lindblad")
+        assert code == cli.EXIT_ERROR
+        assert payload["r"] == 2**20
+        assert payload["probability"] < 1.0
+        assert payload["lindblad"] == {"decision": "unsupported", "reason": "q = 1"}
+        assert payload["status"] == "FAILED"
 
     def test_engine_disagreement_exits_3(self, capsys, monkeypatch, sat_file):
         def always_unsat(q_squared, params):

@@ -271,6 +271,19 @@ class TestPackedPlanes:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_popcount_makes_no_copy_of_the_whole_array(self):
+        # the 2 MiB array at n = 24 is counted in 128 KiB slices; a whole
+        # copy as bytes plus one as an int would take the peak past 4 MiB
+        inst = CnfInstance(24, ((1, -24), (-1, 2)))
+        tracemalloc.start()
+        try:
+            r = cnf.count_satisfying(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r == 2**23
+        assert peak < 3 * 2**20
+
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestRowEngine:
             instance = CnfInstance(8, clauses)
             circuit = compiler.compile(instance)
             assert circuit.layout.total == 79
-            _, r = simulator.row_probability(circuit.sequence, cap=400)
+            _, r = simulator.row_probability(circuit.sequence)
             assert r == cnf.count_satisfying(instance)
 
     @pytest.mark.parametrize(
@@ -178,11 +179,27 @@ class TestRowEngine:
     )
     def test_refuses_what_is_not_a_block_then_permutations(self, seq, message):
         with pytest.raises(ValueError, match=message):
-            simulator.row_probability(seq, cap=64)
+            simulator.row_probability(seq)
 
-    def test_width_cap(self):
-        with pytest.raises(WidthCapError):
-            simulator.row_probability(GateSequence(27, (H1,)))
+    def test_plane_bound(self, monkeypatch):
+        # the default admits the widest circuit the old 26-wire cap did, at n = 24
+        assert simulator.MAX_PLANE_BITS == 26 * 2**24
+        block = GateOp("H_BLOCK", (1, 2))
+        monkeypatch.setattr(simulator, "MAX_PLANE_BITS", 5 * 2**2)
+        assert simulator.row_probability(GateSequence(5, (block,))) == (0.0, 0)
+        with pytest.raises(WidthCapError, match="width 6 at 4 rows exceeds 20 plane bits"):
+            simulator.row_probability(GateSequence(6, (block,)))
+
+    def test_refuses_width_27_at_n_24_before_building_a_plane(self):
+        seq = GateSequence(27, (GateOp("H_BLOCK", tuple(range(1, 25))),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WidthCapError):
+                simulator.row_probability(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one plane alone would take 2 MiB
 
 
 class TestPostMeasure:
