@@ -165,7 +165,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    timings = {}
+    timings = dict.fromkeys(("parse", "oracle"))  # pipeline order, though compile runs first
 
     def timed(stage, func, *func_args):
         start = time.perf_counter()
@@ -182,8 +182,11 @@ def cmd_solve(args) -> int:
             params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
     if args.engine in ("lindblad", "both"):
         gamma = lindblad.DissipativeParams(complex(args.gamma_re, args.gamma_im)).gamma
-    r = timed("oracle", cnf.count_satisfying, instance)
+    # the oracle's and the engine's bounds both refuse before the oracle's 2^n work
+    cnf.check_brute_force_limit(instance.n)
     circuit = timed("compile", compiler.compile, instance)
+    simulator.check_plane_bound(circuit.sequence.width, instance.n)
+    r = timed("oracle", cnf.count_satisfying, instance)
     probability, rows = timed("simulate", simulator.row_probability, circuit.sequence)
     report = {**_sizes(instance, circuit), "r": r, "probability": probability}
     verdicts = []
@@ -199,7 +202,7 @@ def cmd_solve(args) -> int:
             report["lindblad"] = {"decision": "unsupported", "reason": "q = 1"}
         else:
             q = float(np.sqrt(probability))
-            decision, classification, _ = timed("lindblad", lindblad.discriminate, q, gamma)
+            decision, classification = timed("lindblad", lindblad.decide, q, gamma)
             report["lindblad"] = {
                 "decision": decision,
                 "classification": classification,
@@ -209,10 +212,10 @@ def cmd_solve(args) -> int:
 
     expected = "SAT" if r > 0 else "UNSAT"
     report["status"] = "FAILED"
-    if not verdicts:  # the only engine asked for could not decide
-        code = EXIT_ERROR
-    elif any(v != expected for v in verdicts):
+    if rows != r or any(v != expected for v in verdicts):
         code = EXIT_DISAGREEMENT
+    elif not verdicts:  # the only engine asked for could not decide
+        code = EXIT_ERROR
     else:
         report["status"] = expected
         code = EXIT_SAT if r > 0 else EXIT_UNSAT

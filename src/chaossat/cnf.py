@@ -146,6 +146,12 @@ def evaluate(instance: CnfInstance, bits) -> int:
     return 1
 
 
+def check_brute_force_limit(n: int, limit: int = DEFAULT_BRUTE_FORCE_LIMIT) -> None:
+    """Refuse to enumerate the 2**n assignments of more than limit variables."""
+    if n > limit:
+        raise BruteForceLimitError(f"n={n} exceeds brute-force limit {limit}")
+
+
 def count_satisfying(instance: CnfInstance, limit: int = DEFAULT_BRUTE_FORCE_LIMIT) -> int:
     """Number of satisfying assignments, by exhaustive enumeration.
 
@@ -164,8 +170,7 @@ def count_satisfying(instance: CnfInstance, limit: int = DEFAULT_BRUTE_FORCE_LIM
     whatever m is.
     """
     n = instance.n
-    if n > limit:
-        raise BruteForceLimitError(f"n={n} exceeds brute-force limit {limit}")
+    check_brute_force_limit(n, limit)
     low = min(n, _RUN_LOG2)
     high = n - low
     table = _run_table(low)

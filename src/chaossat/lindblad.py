@@ -111,9 +111,16 @@ class TrajectoryRecord:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
+    def __len__(self) -> int:
+        return len(self.times)
+
     @property
     def abs_c(self) -> np.ndarray:
         return np.abs(self.coherence)
+
+    def blocks(self):
+        """The whole record as one (p1, coherence, |coherence|) block, as ``classify`` reads it."""
+        return ((self.p1, self.coherence, self.abs_c),)
 
 
 def generator_apply(rho: TwoLevelState, params: DissipativeParams) -> np.ndarray:
@@ -137,18 +144,87 @@ def _rhs(p1: float, c: complex, g: complex) -> tuple[float, complex]:
     return -2.0 * g.real * p1, (1j * g.imag - g.real) * c
 
 
-# 1000x the default grid; one run of that size peaks at ~0.7 GiB of arrays and temporaries
+# 1000x the default grid; a record of that size peaks at about 0.4 GiB of arrays
 MAX_GRID_POINTS = 10**7
+# grid points per block of the closed form: one block's arrays stay far below
+# the allocator's mmap threshold, so a run maps and faults in no fresh pages
+BLOCK = 1024
 
 
-def _step_indices(t_final: float, dt: float) -> np.ndarray:
-    """Step numbers 0..round(t_final / dt); bad or oversized grids fail first."""
+def _grid_points(t_final: float, dt: float) -> int:
+    """round(t_final / dt) + 1 grid points; bad or oversized grids fail first."""
     if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
         raise ValueError("dt and t_final must be finite and positive")
     ratio = t_final / dt
     if not math.isfinite(ratio) or round(ratio) + 1 > MAX_GRID_POINTS:
         raise ValueError(f"grid of {ratio:g} steps exceeds {MAX_GRID_POINTS} points")
-    return np.arange(round(ratio) + 1)
+    return round(ratio) + 1
+
+
+def _invariants(p1_0: float, p1: np.ndarray, c: np.ndarray):
+    """Trace drift, |c| and the lower eigenvalue of the states (p1, c) reached from p1_0."""
+    p0 = (1.0 - p1_0) - (p1 - p1_0)  # p0 loses what p1 gains
+    abs_c = np.abs(c)
+    return np.abs(p0 + p1 - 1.0), abs_c, 0.5 * (1.0 - np.sqrt((p0 - p1) ** 2 + 4.0 * abs_c**2))
+
+
+class _ClosedForm:
+    """The dissipative RK4 trajectory on its grid, evaluated one block at a time.
+
+    _rhs is linear and diagonal: _rhs(dt, dt) = rate * dt = z, and one RK4
+    step is x -> R(z) x, so step k is R^k x0.  Step s + j of the block that
+    starts at s is R^s R^j, with R^s and R^j read from two tables of powers:
+    one per block start, and one of BLOCK steps.
+    The grid is checked here; nothing is computed until ``blocks`` runs.
+    """
+
+    def __init__(self, rho0: TwoLevelState, params: DissipativeParams, t_final: float,
+                 dt: float):
+        self.points = _grid_points(t_final, dt)
+        self.rho0, self.dt = rho0, dt
+        zs = _rhs(dt, dt, complex(params.gamma))
+        self.factors = tuple(1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24 for z in zs)
+
+    def __len__(self) -> int:
+        return self.points
+
+    def blocks(self):
+        """Yield (p1, coherence, |coherence|) per block, each checked before it is yielded.
+
+        Aborts at the first grid point where trace or positivity drifts
+        beyond tolerance (1e-9 / 1e-8), which for this linear 2x2 system
+        indicates an integration bug rather than stiffness.
+        """
+        r_p1, r_c = self.factors
+        p1_0, c_0 = self.rho0.p1, self.rho0.coherence
+        steps = np.arange(min(self.points, BLOCK))
+        starts = np.arange(0, self.points, BLOCK)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table_p1, table_c = r_p1**steps, r_c**steps
+            start_p1, start_c = p1_0 * r_p1**starts, c_0 * r_c**starts
+        for b, s in enumerate(starts.tolist()):
+            size = min(BLOCK, self.points - s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                p1 = start_p1[b] * table_p1[:size]
+                c = start_c[b] * table_c[:size]
+                trace_drift, abs_c, min_eig = _invariants(p1_0, p1, c)
+                bad = np.flatnonzero((trace_drift > 1e-9) | (min_eig < -1e-8))
+                if bad.size:  # quote the point from R^k itself, not from the tables' product
+                    k = s + bad[:1]
+                    trace_drift, _, min_eig = _invariants(p1_0, p1_0 * r_p1**k, c_0 * r_c**k)
+                    raise RuntimeError(
+                        f"state invariant violated at t={float(k[0] * self.dt)}: "
+                        f"trace drift {float(trace_drift[0])}, "
+                        f"min eigenvalue {float(min_eig[0])}"
+                    )
+            yield p1, c, abs_c
+
+    def record(self) -> TrajectoryRecord:
+        p1 = np.empty(self.points)
+        c = np.empty(self.points, dtype=np.complex128)
+        for s, (p1_block, c_block, _) in zip(range(0, self.points, BLOCK), self.blocks()):
+            p1[s:s + BLOCK], c[s:s + BLOCK] = p1_block, c_block
+        return TrajectoryRecord(np.arange(self.points) * self.dt, p1, c)
 
 
 def evolve_dissipative(
@@ -163,25 +239,7 @@ def evolve_dissipative(
     which for this linear 2x2 system indicates an integration bug rather
     than stiffness.
     """
-    k = _step_indices(t_final, dt)
-    times = k * dt
-    # _rhs is linear and diagonal: _rhs(dt, dt) = rate * dt = z, and one RK4 step is x -> R(z) x
-    zs = _rhs(dt, dt, complex(params.gamma))
-    r_p1, r_c = (1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24 for z in zs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p1 = rho0.p1 * r_p1**k
-        c = rho0.coherence * r_c**k
-        p0 = (1.0 - rho0.p1) - (p1 - rho0.p1)  # p0 loses what p1 gains
-        trace_drift = np.abs(p0 + p1 - 1.0)
-        min_eig = 0.5 * (1.0 - np.sqrt((p0 - p1) ** 2 + 4.0 * np.abs(c) ** 2))
-        bad = np.flatnonzero((trace_drift > 1e-9) | (min_eig < -1e-8))
-    if bad.size:
-        i = bad[0]
-        raise RuntimeError(
-            f"state invariant violated at t={float(times[i])}: "
-            f"trace drift {float(trace_drift[i])}, min eigenvalue {float(min_eig[i])}"
-        )
-    return TrajectoryRecord(times, p1, c)
+    return _ClosedForm(rho0, params, t_final, dt).record()
 
 
 def hamiltonian_state_at(
@@ -200,7 +258,7 @@ def evolve_hamiltonian(
     dt: float = 1e-3,
 ) -> TrajectoryRecord:
     """Exact unitary evolution sampled on a fixed grid; populations constant."""
-    times = _step_indices(t_final, dt) * dt
+    times = np.arange(_grid_points(t_final, dt)) * dt
     delta = params.detuning
     c0 = rho0.coherence
     # rho(t)_{01} = c0 exp(-i ((E0+1) - E1) t)
@@ -217,19 +275,86 @@ def classify(record: TrajectoryRecord, decay_floor: float = 0.01) -> str:
     coherence leaves its initial value by more than 1e-6 and later returns
     within 1e-6 of it (periodic recurrence).  Anything else - including a
     signal that never moves - is stationary.
+
+    The record is read through ``len`` and ``blocks``, so the dissipative
+    closed form is classified one block at a time, and only a run that is
+    not damped is read a second time.
     """
-    signal = record.p1 + record.abs_c
-    half = len(signal) // 2
-    initial = signal[0]
-    if initial > 0.0 and float(signal[half:].max()) < decay_floor * initial:
+    half = len(record) // 2
+    start, late = 0, -math.inf
+    for p1, _, abs_c in record.blocks():
+        if start == 0:
+            initial = p1[0] + abs_c[0]
+        end = start + len(p1)
+        if end > half:
+            skip = max(half - start, 0)
+            late = np.maximum(late, (p1[skip:] + abs_c[skip:]).max())  # NaN propagates
+        start = end
+    if initial > 0.0 and float(late) < decay_floor * initial:
         return "DAMPED"
-    departure = np.abs(record.coherence - record.coherence[0])
-    left = np.flatnonzero(departure > 1e-6)
-    if left.size:
-        first_left = left[0]
-        if np.any(departure[first_left:] < 1e-6):
+    origin, moved = None, False
+    for _, c, _ in record.blocks():
+        if origin is None:
+            origin = c[0]
+        departure = np.abs(c - origin)
+        if not moved:
+            left = np.flatnonzero(departure > 1e-6)
+            if not left.size:
+                continue
+            moved, departure = True, departure[left[0]:]
+        if np.any(departure < 1e-6):
             return "OSCILLATORY"
     return "STATIONARY"
+
+
+def _trajectory(q, gamma, energies, t_final, dt):
+    """The printed case q selects, not yet evaluated in the dissipative case.
+
+    0 < q < 1 selects the dissipative case on the state built from q;
+    q = 0 selects the Hamiltonian case probed with the coherent |+> state.
+    q = 1 has no dissipative coupling term in either printed case and is
+    rejected.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    if q == 1.0:
+        raise ValueError("q = 1 (alpha_0 = 0) is outside both dynamical cases")
+    if q > 0.0:
+        params = DissipativeParams(gamma)
+        horizon = t_final if t_final is not None else 10.0 / complex(gamma).real
+        return _ClosedForm(TwoLevelState.from_q(q), params, horizon, dt)
+    period = energies.period
+    if period is None:
+        raise ValueError("degenerate levels (E0 + 1 = E1) give no oscillation")
+    horizon = t_final if t_final is not None else 3.0 * period
+    return evolve_hamiltonian(TwoLevelState.plus(), energies, horizon, period / 1000.0)
+
+
+def _verdict(q: float, trajectory) -> tuple[str, str]:
+    verdict = classify(trajectory)
+    if q > 0.0 and verdict == "DAMPED":
+        return "q_nonzero", verdict
+    if q == 0.0 and verdict == "OSCILLATORY":
+        return "q_zero", verdict
+    raise ClassificationError(
+        f"trajectory classified {verdict}, inconsistent with q={q}"
+    )
+
+
+def decide(
+    q: float,
+    gamma: complex = 1.0 + 0.0j,
+    energies: HamiltonianParams = HamiltonianParams(0, 2),
+    t_final: float | None = None,
+    dt: float = 1e-3,
+) -> tuple[str, str]:
+    """(decision, classification) as ``discriminate`` returns them, without its record.
+
+    The dissipative case is evaluated and classified one block at a time,
+    so a run holds one block of arrays whatever its grid; a run that is
+    not damped is evaluated a second time to test for recurrence.
+    """
+    return _verdict(q, _trajectory(q, gamma, energies, t_final, dt))
 
 
 def discriminate(
@@ -241,30 +366,10 @@ def discriminate(
 ) -> tuple[str, str, TrajectoryRecord]:
     """Decide q_nonzero vs q_zero from the dynamical behavior.
 
-    0 < q < 1 selects the dissipative case on the state built from q;
-    q = 0 selects the Hamiltonian case probed with the coherent |+> state.
-    q = 1 has no dissipative coupling term in either printed case and is
-    rejected.  Returns (decision, classification, record).
+    Returns (decision, classification, record): the verdict of ``decide``,
+    and the trajectory it was reached on.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    if q == 1.0:
-        raise ValueError("q = 1 (alpha_0 = 0) is outside both dynamical cases")
-    if q > 0.0:
-        params = DissipativeParams(gamma)
-        horizon = t_final if t_final is not None else 10.0 / complex(gamma).real
-        record = evolve_dissipative(TwoLevelState.from_q(q), params, horizon, dt)
-    else:
-        period = energies.period
-        if period is None:
-            raise ValueError("degenerate levels (E0 + 1 = E1) give no oscillation")
-        horizon = t_final if t_final is not None else 3.0 * period
-        record = evolve_hamiltonian(TwoLevelState.plus(), energies, horizon, period / 1000.0)
-    verdict = classify(record)
-    if q > 0.0 and verdict == "DAMPED":
-        return "q_nonzero", verdict, record
-    if q == 0.0 and verdict == "OSCILLATORY":
-        return "q_zero", verdict, record
-    raise ClassificationError(
-        f"trajectory classified {verdict}, inconsistent with q={q}"
-    )
+    record = _trajectory(q, gamma, energies, t_final, dt)
+    if isinstance(record, _ClosedForm):
+        record = record.record()
+    return (*_verdict(q, record), record)

@@ -111,6 +111,14 @@ def success_probability(state: StateVector, layout: QubitLayout) -> float:
     return math.fsum((np.abs(odd[odd != 0]) ** 2).tolist())
 
 
+def check_plane_bound(width: int, block: int) -> None:
+    """Refuse the planes of width wires over the 2**block rows of a Hadamard
+    block past MAX_PLANE_BITS, before any is built."""
+    rows = 1 << block
+    if width * rows > MAX_PLANE_BITS:
+        raise WidthCapError(f"width {width} at {rows} rows exceeds {MAX_PLANE_BITS} plane bits")
+
+
 def row_probability(seq: GateSequence) -> tuple[float, int]:
     """Probability that the result qubit (the last wire) reads 1, and the
     number r of basis rows in which it does.
@@ -126,9 +134,8 @@ def row_probability(seq: GateSequence) -> tuple[float, int]:
     if not seq.ops or seq.ops[0].kind != "H_BLOCK":
         raise ValueError("the row engine needs a circuit that opens with an H_BLOCK")
     block, permutations = seq.ops[0], seq.ops[1:]
+    check_plane_bound(width, len(block.wires))
     rows = 1 << len(block.wires)
-    if width * rows > MAX_PLANE_BITS:
-        raise WidthCapError(f"width {width} at {rows} rows exceeds {MAX_PLANE_BITS} plane bits")
     if any(op.kind == "H_BLOCK" for op in permutations):
         raise ValueError("the row engine takes one H_BLOCK, then basis permutations only")
     ones = (1 << rows) - 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaossat import amplifier
+from chaossat import amplifier, simulator
 from chaossat.amplifier import LogisticParams
 
 
@@ -110,3 +110,19 @@ class TestSweeps:
         for n in range(1, 21):
             trajectory = amplifier.iterate(0.0, amplifier.params_for_instance(n))
             assert trajectory.first_crossing is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_float_and_exact_iterates_cross_at_the_same_step(self, data):
+        # q^2 = r/2^n, and the r |a|^2 that the row engine returns for it
+        n = data.draw(st.integers(1, 24), label="n")
+        r = data.draw(st.integers(1, 2**n), label="r")
+        params = amplifier.params_for_instance(n)
+        bits = 64 + 2 * params.max_steps
+        a = 1.0
+        for _ in range(n):  # the Hadamard block's amplitude, as row_probability forms it
+            a *= simulator._SQRT1_2
+        for fast, exact in ((r / 2**n, Fraction(r, 2**n)), (r * (a * a), r * (a * a))):
+            crossing = amplifier.iterate_oracle(exact, params, bits).first_crossing
+            assert crossing is not None
+            assert amplifier.iterate(fast, params).first_crossing == crossing

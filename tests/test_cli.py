@@ -513,6 +513,62 @@ class TestSolve:
         assert captured.out == ""
         assert "gamma must be" in captured.err and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("engine", ["chaos", "lindblad", "both"])
+    def test_engine_count_must_equal_the_oracle(self, capsys, monkeypatch, sat_file, engine):
+        # one row too many flips no verdict: r = 3 of 4 stays SAT
+        row_probability = cli.simulator.row_probability
+
+        def miscount(seq):
+            probability, rows = row_probability(seq)
+            return probability, rows + 1
+
+        monkeypatch.setattr(cli.simulator, "row_probability", miscount)
+        code, payload = run(capsys, "solve", sat_file, "--engine", engine)
+        assert code == cli.EXIT_DISAGREEMENT
+        assert payload["status"] == "FAILED"
+        assert payload["r"] == 3
+
+    def test_plane_bound_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path):
+        def oracle(*args, **kwargs):
+            raise AssertionError("solve ran the oracle before the plane bound")
+
+        monkeypatch.setattr(cli.cnf, "count_satisfying", oracle)
+        rng = random.Random(24)
+        clauses = tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 25), 3))
+            for _ in range(1000)
+        )
+        path = tmp_path / "wide.cnf"
+        path.write_text(cli.cnf.render_dimacs(cli.cnf.CnfInstance(24, clauses)))
+        assert cli.main(["solve", str(path), "--engine", "both"]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: width 3023 at 16777216 rows exceeds 436207616 plane bits\n"
+
+    def test_oracle_limit_is_refused_before_compiling(self, capsys, monkeypatch, tmp_path):
+        def compile_(*args, **kwargs):
+            raise AssertionError("solve compiled past the oracle's limit")
+
+        monkeypatch.setattr(cli.compiler, "compile", compile_)
+        path = tmp_path / "n25.cnf"
+        path.write_text("p cnf 25 1\n1 2 0\n")
+        assert cli.main(["solve", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=25 exceeds brute-force limit 24\n"
+
+    def test_probe_keeps_no_trajectory(self, capsys, monkeypatch, sat_file, unsat_file):
+        def discriminate(*args, **kwargs):
+            pytest.fail("solve built the probe's trajectory record")
+
+        monkeypatch.setattr(cli.lindblad, "discriminate", discriminate)
+        code, payload = run(capsys, "solve", sat_file, "--engine", "lindblad")
+        assert code == cli.EXIT_SAT
+        assert payload["lindblad"] == {"decision": "q_nonzero", "classification": "DAMPED"}
+        code, payload = run(capsys, "solve", unsat_file, "--engine", "lindblad")
+        assert code == cli.EXIT_UNSAT
+        assert payload["lindblad"] == {"decision": "q_zero", "classification": "OSCILLATORY"}
+
     def test_both_engines_agree(self, capsys, sat_file):
         code, payload = run(capsys, "solve", sat_file, "--engine", "both")
         assert code == cli.EXIT_SAT

@@ -1,8 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaossat import lindblad
 from chaossat.lindblad import (
@@ -259,3 +262,67 @@ class TestDiscriminate:
     def test_short_horizon_raises(self):
         with pytest.raises(ClassificationError):
             lindblad.discriminate(0.5, t_final=0.05)
+
+
+def outcome(func):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return func()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BLOCK = lindblad.BLOCK
+# (q, gamma, dt): an unstable coherence step whose invariant first fails at step 2729
+THIRD_BLOCK_FAILURE = (5.48928633130162e-06, 3.1574590510901506 + 1.8566128185864148j,
+                       0.4419986637917949)
+
+
+class TestDecide:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.floats(0.0, 1.0, exclude_max=True),
+        re=st.floats(0.05, 5.0),
+        im=st.floats(-5.0, 5.0),
+        # block - 1, block and block + 1 points, a half-way index on a block edge
+        # (2 * block and 2 * block + 1 points), and anything up to four blocks
+        points=st.sampled_from([2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+        | st.integers(2, 4 * BLOCK + 1),
+        dt=st.sampled_from([1e-3, 2.0]) | st.floats(1e-3, 2.0),
+        default_horizon=st.booleans(),
+    )
+    # too short to damp (STATIONARY), unstable at dt = 2 (invariant at t = 2.0), on a block edge
+    @example(q=0.5, re=1.0, im=0.0, points=101, dt=1e-3, default_horizon=False)
+    @example(q=0.6, re=1.0, im=0.0, points=6, dt=2.0, default_horizon=False)
+    @example(q=0.25, re=1.0, im=3.0, points=2 * BLOCK, dt=5e-3, default_horizon=False)
+    # an invariant that first fails in the third block, at step 2729
+    @example(q=THIRD_BLOCK_FAILURE[0], re=THIRD_BLOCK_FAILURE[1].real,
+             im=THIRD_BLOCK_FAILURE[1].imag, points=4096, dt=THIRD_BLOCK_FAILURE[2],
+             default_horizon=False)
+    @example(q=0.0, re=1.0, im=0.0, points=2, dt=1e-3, default_horizon=True)
+    def test_matches_discriminate(self, q, re, im, points, dt, default_horizon):
+        t_final = None if default_horizon else (points - 1) * dt
+        gamma = complex(re, im)
+        expected = outcome(lambda: lindblad.discriminate(q, gamma, t_final=t_final, dt=dt)[:2])
+        assert outcome(lambda: lindblad.decide(q, gamma, t_final=t_final, dt=dt)) == expected
+
+    def test_invariant_failure_past_the_first_block(self):
+        # the blocks take R^k from two tables, whose product reads the eigenvalue
+        # as -0.007643985161585931 here; the error quotes R^k itself
+        q, gamma, dt = THIRD_BLOCK_FAILURE
+        message = ("state invariant violated at t=1206.2143534878082: "
+                   "trace drift 0.0, min eigenvalue -0.007643985161585709")
+        for probe in (lindblad.decide, lindblad.discriminate):
+            with pytest.raises(RuntimeError) as info:
+                probe(q, gamma, t_final=4095 * dt, dt=dt)
+            assert str(info.value) == message
+
+    def test_holds_one_block(self):
+        lindblad.decide(0.3)
+        tracemalloc.start()
+        try:
+            assert lindblad.decide(0.3) == ("q_nonzero", "DAMPED")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10  # the 10 001-point record alone takes 313 KiB
