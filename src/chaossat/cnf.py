@@ -12,9 +12,6 @@ DEFAULT_BRUTE_FORCE_LIMIT = 24
 # assignments (2 KiB) and ORs the runs of at most _BATCH clauses at a time
 _RUN_LOG2 = 14
 _BATCH = 64
-_ONES = (1 << 64) - 1
-# _WORD_PATTERNS[s] has bit j set where bit s of j is set, for j < 64
-_WORD_PATTERNS = tuple(sum(1 << j for j in range(64) if j >> s & 1) for s in range(6))
 
 
 class DimacsParseError(ValueError):
@@ -76,8 +73,9 @@ def parse_dimacs(text: str) -> CnfInstance:
     header_line = 0
     clauses: list[tuple[int, ...]] = []
     current: dict[int, None] = {}  # the open clause's literals, in order
+    lines = text.splitlines()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -116,7 +114,7 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise DimacsParseError(f"duplicate literal {value} in clause", lineno)
             current[value] = None
 
-    last = len(text.splitlines()) or 1
+    last = len(lines) or 1
     if n is None:
         raise DimacsParseError("missing 'p cnf' header", last)
     if current:
@@ -221,23 +219,14 @@ def _run_table(low: int) -> np.ndarray:
     Row s is index bit s (variable n - s), row low is zero and row
     low + 1 + s is the complement of row s.
     """
-    words = max(1, 2**low // 64)
-    planes = np.array([_plane(s, words) for s in range(low)], dtype=np.uint64)
-    table = np.concatenate([planes, np.zeros((1, words), dtype=np.uint64), ~planes])
+    bits = np.zeros((low, 64 * max(1, 2**low // 64)), dtype=np.uint8)  # a partial run fills a word
+    for s in range(low):  # bit s is set in the upper half of each block of 2**(s + 1) indices
+        bits[s].reshape(-1, 2, 2**s)[:, 1] = 1
+    # bit j of word w is index 64 w + j, whatever the machine's byte order
+    planes = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    table = np.concatenate([planes, np.zeros((1, planes.shape[1]), dtype=np.uint64), ~planes])
     table.flags.writeable = False
     return table
-
-
-def _plane(s: int, words: int) -> np.ndarray:
-    """Bit s of the indices 0 .. 64 * words - 1, packed into 64-bit words.
-
-    For s < 6 every word is the same pattern; for s >= 6 each word is all
-    ones or all zeros.
-    """
-    if s < 6:
-        return np.full(words, _WORD_PATTERNS[s], dtype=np.uint64)
-    halves = np.repeat(np.array([0, _ONES], dtype=np.uint64), 2 ** (s - 6))
-    return np.tile(halves, words // halves.size)
 
 
 def assignment_from_index(index: int, n: int) -> tuple[int, ...]:

@@ -14,6 +14,8 @@ import numpy as np
 
 EIG_CLAMP = 1e-10
 SUPPORT_TOL = 1e-12
+PVM_TOL = 1e-10  # is_rank1_pvm's tolerance on each of its identities
+THEOREM7_TOL = 1e-10  # theorem7_holds' tolerance on each of its checks
 
 
 class InvariantError(ValueError):
@@ -95,8 +97,8 @@ class KrausChannel:
         a = self.kraus
         return DensityMatrix((a @ rho.matrix @ a.conj().transpose(0, 2, 1)).sum(axis=0))
 
-    def is_rank1_pvm(self, tol: float = 1e-10) -> bool:
-        """d Hermitian trace-1 operators with A_i A_j = delta_ij A_i.
+    def is_rank1_pvm(self) -> bool:
+        """d Hermitian trace-1 operators with A_i A_j = delta_ij A_i, each within PVM_TOL.
 
         The product rule covers idempotence and mutual orthogonality at once.
         """
@@ -107,9 +109,9 @@ class KrausChannel:
         products = np.einsum("iab,jbc->ijac", a, a)
         expected = np.eye(d)[:, :, None, None] * a[:, None]
         return bool(
-            np.abs(a - a.conj().transpose(0, 2, 1)).max() <= tol
-            and np.abs(np.trace(a, axis1=1, axis2=2).real - 1.0).max() <= tol
-            and np.abs(products - expected).max() <= tol
+            np.abs(a - a.conj().transpose(0, 2, 1)).max() <= PVM_TOL
+            and np.abs(np.trace(a, axis1=1, axis2=2).real - 1.0).max() <= PVM_TOL
+            and np.abs(products - expected).max() <= PVM_TOL
         )
 
     @classmethod
@@ -236,13 +238,10 @@ def entropy_exchange(rho: DensityMatrix, channel: KrausChannel, base=2) -> float
     return vn_entropy(exchange_matrix(rho, channel), base)
 
 
-def coherent_informations(
-    rho: DensityMatrix, channel: KrausChannel, base=2
-) -> tuple[float, float]:
-    """(I2, I3) = (S(out) - Se, S(rho) + S(out) - Se)."""
-    s_out = vn_entropy(channel(rho), base)
-    s_e = entropy_exchange(rho, channel, base)
-    return s_out - s_e, vn_entropy(rho, base) + s_out - s_e
+def coherent_informations(rho: DensityMatrix, channel: KrausChannel, base=2) -> tuple[float, float]:
+    """(I2, I3) = (S(out) - Se, S(rho) + S(out) - Se), as mutual_entropies gives them."""
+    values = mutual_entropies(rho, channel, base)
+    return values["I2"], values["I3"]
 
 
 def mutual_entropies(rho: DensityMatrix, channel: KrausChannel, base=2) -> dict:
@@ -261,23 +260,23 @@ def mutual_entropies(rho: DensityMatrix, channel: KrausChannel, base=2) -> dict:
     }
 
 
-def theorem7_holds(values: dict, tol: float = 1e-10) -> dict:
-    """Theorem 7's checks on mutual_entropies' values, each within tol.
+def theorem7_holds(values: dict) -> dict:
+    """Theorem 7's checks on mutual_entropies' values, each within THEOREM7_TOL.
 
     For a rank-1 PVM channel: I1 <= min(S, S_out), I2 = 0 and I3 = S.
     """
     return {
-        "i1_bounded": values["I1"] <= min(values["S"], values["S_out"]) + tol,
-        "i2_zero": abs(values["I2"]) < tol,
-        "i3_equals_entropy": abs(values["I3"] - values["S"]) < tol,
+        "i1_bounded": values["I1"] <= min(values["S"], values["S_out"]) + THEOREM7_TOL,
+        "i2_zero": abs(values["I2"]) < THEOREM7_TOL,
+        "i3_equals_entropy": abs(values["I3"] - values["S"]) < THEOREM7_TOL,
     }
 
 
-def theorem7_report(rho: DensityMatrix, channel: KrausChannel, base=2, tol: float = 1e-10) -> dict:
+def theorem7_report(rho: DensityMatrix, channel: KrausChannel, base=2) -> dict:
     """Compare the mutual-entropy variants for a rank-1 PVM channel.
 
     Checks that I1 <= min(S(rho), S(out)), I2 = 0 and I3 = S(rho), each
-    within tol.  Refuses channels that are not rank-1 PVMs.
+    within THEOREM7_TOL.  Refuses channels that are not rank-1 PVMs.
     """
     if not channel.is_rank1_pvm():
         raise ValueError("channel is not a rank-1 projection valued measure")
@@ -288,5 +287,5 @@ def theorem7_report(rho: DensityMatrix, channel: KrausChannel, base=2, tol: floa
         "I3": values["I3"],
         "S_rho": values["S"],
         "S_out": values["S_out"],
-        "inequalities_hold": theorem7_holds(values, tol),
+        "inequalities_hold": theorem7_holds(values),
     }

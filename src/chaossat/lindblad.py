@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import DensityMatrix
+
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)  # D+ D = |e1><e1|
 _D = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |e0><e1|
 
@@ -23,23 +25,13 @@ class ClassificationError(RuntimeError):
     """The trajectory fits neither printed dynamical case."""
 
 
-@dataclass(frozen=True)
-class TwoLevelState:
+class TwoLevelState(DensityMatrix):
     """2x2 density matrix."""
 
-    matrix: np.ndarray
-
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1, got {np.trace(m)}")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
+        if np.shape(self.matrix) != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {np.shape(self.matrix)}")
+        super().__post_init__()
 
     @property
     def p1(self) -> float:
@@ -50,20 +42,14 @@ class TwoLevelState:
         return complex(self.matrix[0, 1])
 
     @classmethod
-    def from_amplitudes(cls, alpha0: complex, alpha1: complex) -> "TwoLevelState":
-        psi = np.array([alpha0, alpha1], dtype=np.complex128)
-        psi /= np.linalg.norm(psi)
-        return cls(np.outer(psi, psi.conj()))
-
-    @classmethod
     def from_q(cls, q: float) -> "TwoLevelState":
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {q}")
-        return cls.from_amplitudes(math.sqrt(1.0 - q * q), q)
+        return cls.pure([math.sqrt(1.0 - q * q), q])
 
     @classmethod
     def plus(cls) -> "TwoLevelState":
-        return cls.from_amplitudes(1.0, 1.0)
+        return cls.pure([1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -146,6 +132,8 @@ def _rhs(p1: float, c: complex, g: complex) -> tuple[float, complex]:
 
 # 1000x the default grid; a record of that size peaks at about 0.4 GiB of arrays
 MAX_GRID_POINTS = 10**7
+# classify's damping threshold, as a share of the signal's initial value
+DECAY_FLOOR = 0.01
 # grid points per block of the closed form: one block's arrays stay far below
 # the allocator's mmap threshold, so a run maps and faults in no fresh pages
 BLOCK = 1024
@@ -267,11 +255,11 @@ def evolve_hamiltonian(
     return TrajectoryRecord(times, p1s, cs)
 
 
-def classify(record: TrajectoryRecord, decay_floor: float = 0.01) -> str:
+def classify(record: TrajectoryRecord) -> str:
     """DAMPED, OSCILLATORY or STATIONARY.
 
     Damping: the signal p1 + |c| over the last half of the run stays below
-    decay_floor times its initial value.  Oscillation: the complex
+    DECAY_FLOOR times its initial value.  Oscillation: the complex
     coherence leaves its initial value by more than 1e-6 and later returns
     within 1e-6 of it (periodic recurrence).  Anything else - including a
     signal that never moves - is stationary.
@@ -290,7 +278,7 @@ def classify(record: TrajectoryRecord, decay_floor: float = 0.01) -> str:
             skip = max(half - start, 0)
             late = np.maximum(late, (p1[skip:] + abs_c[skip:]).max())  # NaN propagates
         start = end
-    if initial > 0.0 and float(late) < decay_floor * initial:
+    if initial > 0.0 and float(late) < DECAY_FLOOR * initial:
         return "DAMPED"
     origin, moved = None, False
     for _, c, _ in record.blocks():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -6,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chaossat
 from chaossat import cli
@@ -382,6 +385,78 @@ DIAGONAL_SPEC = {
 }
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def replace_one(draw, node, value):
+    """Put value in place of one element of the nested list node, at a drawn depth."""
+    index = draw(st.integers(0, len(node) - 1))
+    if isinstance(node[index], list) and draw(st.booleans()):
+        replace_one(draw, node[index], value)
+    else:
+        node[index] = value
+
+
+@st.composite
+def entropy_specs(draw):
+    """(spec text, whether the spec is valid) for states and channels of dimension <= 4.
+
+    A valid spec is a full-rank state and a unitary, depolarizing or rank-1
+    PVM channel; a mutation then breaks an entry, a rank, a shape, a key,
+    the top level or the base.
+    """
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T + 0.05 * np.eye(dim)
+    rho = (rho + rho.conj().T) / 2
+    rho /= np.trace(rho).real
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    kraus = {
+        "unitary": [basis],
+        "depolarizing": np.eye(dim * dim).reshape(dim * dim, dim, dim) / np.sqrt(dim),
+        "pvm": [np.outer(basis[:, j], basis[:, j].conj()) for j in range(dim)],
+    }[draw(st.sampled_from(("unitary", "depolarizing", "pvm")))]
+    spec = {"rho": cx(rho), "channel": {"kraus": [cx(a) for a in kraus]}}
+    base = draw(st.sampled_from((None, 2, "e", 3)))
+    if base is not None:
+        spec["base"] = base
+    valid = base != 3
+    mutation = draw(st.sampled_from(
+        ("none", "entry", "rank", "shape", "missing-key", "top-level")
+    ))
+    if mutation == "entry":
+        # bool, string, null, NaN, inf, any float or a list where a number belongs
+        value = draw(st.one_of(
+            st.booleans(), st.text(max_size=2), st.none(), st.floats(),
+            st.lists(st.floats(-2.0, 2.0), max_size=3),
+        ))
+        replace_one(draw, spec["rho"] if draw(st.booleans()) else spec["channel"]["kraus"], value)
+        valid = False
+    elif mutation == "rank":
+        key = draw(st.sampled_from(("rho", "kraus")))
+        holder = spec if key == "rho" else spec["channel"]
+        holder[key] = draw(st.sampled_from((holder[key][0], [holder[key]])))
+        valid = False
+    elif mutation == "shape":
+        if draw(st.booleans()):
+            spec["rho"] = spec["rho"][:-1] or [[]]  # not square
+        else:
+            operator = spec["channel"]["kraus"][0]
+            spec["channel"]["kraus"][0] = [row[:-1] for row in operator]  # ragged stack
+        valid = False
+    elif mutation == "missing-key":
+        holder, key = draw(st.sampled_from(((spec, "rho"), (spec, "channel"),
+                                            (spec["channel"], "kraus"))))
+        del holder[key]
+        valid = False
+    elif mutation == "top-level":
+        spec = draw(st.sampled_from(([spec], 3, 2.5, "spec", None)))
+        valid = False
+    return json.dumps(spec), valid
+
+
 class TestEntropySpecErrors:
     @pytest.mark.parametrize(
         "text, reason",
@@ -432,6 +507,24 @@ class TestEntropySpecErrors:
         assert captured.err.startswith("error: ")
         assert reason in captured.err
         assert "Traceback" not in captured.err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=entropy_specs())
+    def test_fuzzed_spec_exits_cleanly(self, capsys, tmp_path, spec):
+        text, valid = spec
+        code = cli.main(["entropy", "--in", write_spec(tmp_path, text)])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+            json.loads(captured.out, parse_constant=reject_constant)
+        else:
+            assert not valid, captured.err
+            assert code == cli.EXIT_ERROR
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
 
     def test_pure_state_entropy_is_positive_zero(self, capsys, tmp_path):
         spec = {**DIAGONAL_SPEC, "rho": cx(np.diag([1.0, 0.0]))}
@@ -622,3 +715,42 @@ class TestSolve:
         _, second = run(capsys, "solve", sat_file)
         for key in ("n", "m", "mu", "r", "probability", "chaos", "status"):
             assert first[key] == second[key]
+
+
+class TestReusedParser:
+    def test_one_parser_gives_what_fresh_parsers_give(self, capsys, monkeypatch, tmp_path,
+                                                      sat_file):
+        # every op of the benchmark's four workloads at seed 1, each followed by an error
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        workloads = importlib.import_module("workloads")
+        errors = [
+            ["oracle", sat_file, "--no-such-flag"],
+            ["oracle", str(tmp_path / "missing.cnf")],
+            ["solve", sat_file, "--steps", "2000000"],
+            ["amplify", "--q2", "1/1024", "--steps", "20", "--threshold", "1"],
+        ]
+        argvs = []
+        for name in sorted(workloads.WORKLOADS):
+            directory = tmp_path / name
+            directory.mkdir()
+            for op in workloads.generate(name, 1, str(directory)):
+                argvs += [list(op.argv), errors[len(argvs) // 2 % len(errors)]]
+
+        def outcomes():
+            for argv in argvs:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                out = json.loads(captured.out) if captured.out else None
+                if isinstance(out, dict):
+                    out.pop("timings", None)
+                yield argv, code, out, captured.err
+
+        fresh = list(outcomes())
+        shared = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: shared)
+        assert list(outcomes()) == fresh
+        assert {code for _, code, _, _ in fresh} == {0, 1, 2, 10, 20}

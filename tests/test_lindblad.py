@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaossat import lindblad
+from chaossat import entropy, lindblad
 from chaossat.lindblad import (
     ClassificationError,
     DissipativeParams,
@@ -38,6 +38,16 @@ class TestTwoLevelState:
     def test_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             TwoLevelState(np.array([[0.5, 0.9], [0.9, 0.5]]))
+
+    def test_not_two_by_two(self):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix, got shape"):
+            TwoLevelState(np.eye(3) / 3)
+
+    def test_checks_are_the_entropy_toolkits(self):
+        # a trace 1e-11 off passed the old 1e-10 tolerance; the toolkit's is 1e-12
+        with pytest.raises(entropy.InvariantError, match="trace must be 1"):
+            TwoLevelState(np.diag([0.5, 0.5 + 1e-11]))
+        assert isinstance(TwoLevelState.from_q(0.5), entropy.DensityMatrix)
 
 
 class TestParams:
@@ -82,7 +92,7 @@ class TestGenerator:
         rng = np.random.default_rng(11)
         for _ in range(20):
             psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            rho = TwoLevelState.from_amplitudes(*psi)
+            rho = TwoLevelState.pure(psi)
             g = complex(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
             drho = lindblad.generator_apply(rho, DissipativeParams(g))
             assert abs(np.trace(drho)) < 1e-12
@@ -91,7 +101,7 @@ class TestGenerator:
         rng = np.random.default_rng(5)
         for _ in range(20):
             psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            rho = TwoLevelState.from_amplitudes(*psi)
+            rho = TwoLevelState.pure(psi)
             g = complex(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
             drho = lindblad.generator_apply(rho, DissipativeParams(g))
             dp1, dc = lindblad._rhs(rho.p1, rho.coherence, g)

@@ -134,6 +134,21 @@ def basis_count(circuit):
     )
 
 
+def truth_table_count(instance):
+    """r from truth tables held as Python ints: bit i of a table is its value at index i."""
+    n = instance.n
+    full = (1 << 2**n) - 1
+    sat = full
+    for clause in instance.clauses:
+        value = 0
+        for lit in clause:
+            # variable v is bit n - v of the index
+            plane = sum(1 << i for i in range(2**n) if i >> (n - abs(lit)) & 1)
+            value |= plane if lit > 0 else full ^ plane
+        sat &= value
+    return sat.bit_count()
+
+
 class TestRowEngine:
     """simulator.row_probability against the dense engine, compared bit for bit."""
 
@@ -145,6 +160,11 @@ class TestRowEngine:
         assert probability.hex() == dense_probability(circuit).hex()
         assert abs(probability - cnf.count_satisfying(instance) / 2**instance.n) < 1e-12
         assert r == cnf.count_satisfying(instance) == basis_count(circuit)
+        assert r == truth_table_count(instance)
+        with pytest.MonkeyPatch.context() as mp:
+            # runs of 8 assignments: variables 1 .. n - 3 are the oracle array's axes
+            mp.setattr(cnf, "_RUN_LOG2", 3)
+            assert r == cnf.count_satisfying(instance)
 
     def test_sum_order_does_not_move_the_last_digit(self):
         # numpy's pairwise sum of the odd half reads 0.6249999999999996 here;
