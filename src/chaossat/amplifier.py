@@ -4,7 +4,8 @@ The post-computation qubit is encoded as a diagonal density matrix whose
 z-polarization carries the iterate x_m; starting from x_0 = q^2, the map
 x -> a x (1-x) at a = 3.71 pushes any nonzero q^2 above 1/2 within 2n
 steps while leaving q^2 = 0 pinned at the fixed point, so the threshold
-crossing is a one-sided exact SAT test.
+crossing is a one-sided exact SAT test.  iterate_oracle reruns the map
+in exact integer fixed point to certify that crossing.
 """
 
 from __future__ import annotations
@@ -68,38 +69,36 @@ def iterate(q_squared: float, params: LogisticParams) -> ChaosTrajectory:
     return ChaosTrajectory(tuple(xs), first_crossing)
 
 
-def iterate_oracle(
-    q_squared, params: LogisticParams, precision_bits: int
-) -> ChaosTrajectory:
-    """Extended-precision rerun of iterate, certifying the crossing decision.
+def integer_iterates(q2: Fraction, a: Fraction, bits: int):
+    """X_k = floor(x_k 2^bits) from x_0 = q2, each step floor(a X (2^bits - X) / 2^bits).
 
-    The default a = 3.71 is taken as the rational 371/100 rounded once to
-    the working precision; per-step error growth is bounded by a factor a,
-    hence the required mantissa of 64 + 2 * max_steps bits.
+    Each floor loses < 2^-bits and |f'| <= a, so |x_k - X_k 2^-bits| <= (k+1) max(1,a)^k 2^-bits.
     """
-    # imported here: nothing else uses mpmath, and loading it adds ~3.7 MiB RSS to a CLI run
-    from mpmath import mp, mpf
-    if precision_bits < 64 + 2 * params.max_steps:
-        raise ValueError(
-            f"precision_bits={precision_bits} below required "
-            f"{64 + 2 * params.max_steps}"
-        )
-    with mp.workprec(precision_bits):
-        if isinstance(q_squared, Fraction):
-            x = mpf(q_squared.numerator) / q_squared.denominator
-        else:
-            x = mpf(q_squared)
-        if not 0 <= x <= 1:
-            raise ValueError(f"q^2 must lie in [0, 1], got {q_squared}")
-        a = mpf(371) / 100 if params.a == DEFAULT_A else mpf(params.a)
-        threshold = mpf(params.threshold)
-        xs = [float(x)]
-        first_crossing = 0 if x > threshold else None
-        for m in range(1, params.max_steps + 1):
-            x = a * x * (1 - x)
-            xs.append(float(x))
-            if first_crossing is None and x > threshold:
-                first_crossing = m
+    one = 1 << bits
+    x = q2.numerator * one // q2.denominator
+    while True:
+        yield x
+        x = a.numerator * x * (one - x) // (a.denominator * one)
+
+
+def iterate_oracle(q_squared, params: LogisticParams, precision_bits: int) -> ChaosTrajectory:
+    """iterate's crossing, certified on integer_iterates with q^2, a and the threshold exact.
+
+    a is 371/100 at DEFAULT_A.  As a <= 4, P = precision_bits >= 64 + 2 steps keeps the error
+    at step k below (k+1) 2^-64.  xs holds each X_k 2^-P rounded to the nearest float.
+    """
+    if precision_bits < (floor := 64 + 2 * params.max_steps):
+        raise ValueError(f"precision_bits={precision_bits} below required {floor}")
+    if not 0 <= q_squared <= 1:  # NaN and the infinities fail this test too
+        raise ValueError(f"q^2 must lie in [0, 1], got {q_squared}")
+    a = Fraction(371, 100) if params.a == DEFAULT_A else Fraction(params.a)
+    t, one = Fraction(params.threshold), 1 << precision_bits
+    xs, first_crossing = [], None
+    iterates = integer_iterates(Fraction(q_squared), a, precision_bits)
+    for m, x in zip(range(params.max_steps + 1), iterates):
+        xs.append(x / one)
+        if first_crossing is None and x * t.denominator > t.numerator * one:  # x_m > t
+            first_crossing = m
     return ChaosTrajectory(tuple(xs), first_crossing)
 
 

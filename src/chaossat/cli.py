@@ -39,7 +39,10 @@ def _read_instance(path: str) -> cnf.CnfInstance:
 
 
 def _parse_q2(text: str) -> float:
-    return float(Fraction(text)) if "/" in text else float(text)
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--q2 must be a number or a ratio like 1/1024, got {text!r}") from None
 
 
 def _write_csv(path: str | None, header: str, rows) -> None:
@@ -180,8 +183,9 @@ def cmd_solve(args) -> int:
             params = amplifier.params_for_instance(instance.n, a=args.a)
         else:
             params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
-    if args.engine in ("lindblad", "both"):
-        gamma = lindblad.DissipativeParams(complex(args.gamma_re, args.gamma_im)).gamma
+    if args.engine in ("lindblad", "both"):  # checked at the grid step decide runs on
+        gamma = complex(args.gamma_re, args.gamma_im)
+        lindblad.DissipativeParams(gamma).rk4_factors(lindblad.DEFAULT_DT)
     # the oracle's and the engine's bounds both refuse before the oracle's 2^n work
     cnf.check_brute_force_limit(instance.n)
     circuit = timed("compile", compiler.compile, instance)
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=int, default=0)
     p.add_argument("--e1", type=int, default=2)
     p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=lindblad.DEFAULT_DT)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_lindblad)
 

@@ -93,7 +93,12 @@ class KrausChannel:
     def dim_in(self) -> int:
         return self.kraus.shape[2]
 
+    def check_input(self, rho: DensityMatrix) -> None:
+        if rho.dim != self.dim_in:
+            raise ValueError(f"dimension mismatch {rho.dim} != {self.dim_in}")
+
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
+        self.check_input(rho)
         a = self.kraus
         return DensityMatrix((a @ rho.matrix @ a.conj().transpose(0, 2, 1)).sum(axis=0))
 
@@ -191,8 +196,6 @@ def ohya_mutual(rho: DensityMatrix, channel: KrausChannel, base=2) -> float:
     For a degenerate rho the decomposition is the one eigh returns; the
     supremum over other orthogonal decompositions is not searched.
     """
-    if rho.dim != channel.dim_in:
-        raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
     return _ohya_mutual(rho, channel, channel(rho), base)
 
 
@@ -224,8 +227,7 @@ def exchange_matrix(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     The Kraus convention is the channel's, rho -> sum_j A_j rho A_j+, so
     tr W = tr(Lambda rho) for every trace-preserving channel, unital or not.
     """
-    if rho.dim != channel.dim_in:
-        raise ValueError(f"dimension mismatch {rho.dim} != {channel.dim_in}")
+    channel.check_input(rho)
     a = channel.kraus
     w = np.einsum("iab,bc,jac->ij", a, rho.matrix, a.conj())
     # dividing by tr(Lambda rho), summed apart from W, lets a W built in the

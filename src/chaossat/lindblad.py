@@ -62,6 +62,21 @@ class DissipativeParams:
         if complex(self.gamma).real <= 0.0:
             raise ValueError(f"Re gamma must be positive, got {self.gamma}")
 
+    def rk4_factors(self, dt: float) -> tuple[float, complex]:
+        """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 for p1 and the coherence, z = rate dt.
+
+        _rhs is linear and diagonal, so one RK4 step of size dt multiplies
+        each by its R(z).  A gamma whose R(z) is not finite at dt is refused.
+        """
+        try:
+            factors = tuple(1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24
+                            for z in _rhs(dt, dt, complex(self.gamma)))
+            if all(map(cmath.isfinite, factors)):
+                return factors
+        except OverflowError:  # z**3 or z**4 past the float range
+            pass
+        raise ValueError(f"gamma {self.gamma} with dt {dt} overflows the RK4 step factor")
+
 
 @dataclass(frozen=True)
 class HamiltonianParams:
@@ -130,6 +145,8 @@ def _rhs(p1: float, c: complex, g: complex) -> tuple[float, complex]:
     return -2.0 * g.real * p1, (1j * g.imag - g.real) * c
 
 
+# the grid step of the dissipative probe unless a caller sets one
+DEFAULT_DT = 1e-3
 # 1000x the default grid; a record of that size peaks at about 0.4 GiB of arrays
 MAX_GRID_POINTS = 10**7
 # classify's damping threshold, as a share of the signal's initial value
@@ -159,10 +176,10 @@ def _invariants(p1_0: float, p1: np.ndarray, c: np.ndarray):
 class _ClosedForm:
     """The dissipative RK4 trajectory on its grid, evaluated one block at a time.
 
-    _rhs is linear and diagonal: _rhs(dt, dt) = rate * dt = z, and one RK4
-    step is x -> R(z) x, so step k is R^k x0.  Step s + j of the block that
-    starts at s is R^s R^j, with R^s and R^j read from two tables of powers:
-    one per block start, and one of BLOCK steps.
+    One RK4 step is x -> R(z) x (DissipativeParams.rk4_factors), so step k
+    is R^k x0.  Step s + j of the block that starts at s is R^s R^j, with
+    R^s and R^j read from two tables of powers: one per block start, and
+    one of BLOCK steps.
     The grid is checked here; nothing is computed until ``blocks`` runs.
     """
 
@@ -170,8 +187,7 @@ class _ClosedForm:
                  dt: float):
         self.points = _grid_points(t_final, dt)
         self.rho0, self.dt = rho0, dt
-        zs = _rhs(dt, dt, complex(params.gamma))
-        self.factors = tuple(1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24 for z in zs)
+        self.factors = params.rk4_factors(dt)
 
     def __len__(self) -> int:
         return self.points
@@ -219,7 +235,7 @@ def evolve_dissipative(
     rho0: TwoLevelState,
     params: DissipativeParams,
     t_final: float,
-    dt: float = 1e-3,
+    dt: float = DEFAULT_DT,
 ) -> TrajectoryRecord:
     """Fixed-step RK4 integration of the dissipative master equation, in closed form.
 
@@ -334,7 +350,7 @@ def decide(
     gamma: complex = 1.0 + 0.0j,
     energies: HamiltonianParams = HamiltonianParams(0, 2),
     t_final: float | None = None,
-    dt: float = 1e-3,
+    dt: float = DEFAULT_DT,
 ) -> tuple[str, str]:
     """(decision, classification) as ``discriminate`` returns them, without its record.
 
@@ -350,7 +366,7 @@ def discriminate(
     gamma: complex = 1.0 + 0.0j,
     energies: HamiltonianParams = HamiltonianParams(0, 2),
     t_final: float | None = None,
-    dt: float = 1e-3,
+    dt: float = DEFAULT_DT,
 ) -> tuple[str, str, TrajectoryRecord]:
     """Decide q_nonzero vs q_zero from the dynamical behavior.
 

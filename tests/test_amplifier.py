@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,41 @@ class TestIterateOracle:
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             amplifier.iterate_oracle(Fraction(1, 2), LogisticParams(max_steps=40), 100)
+
+    @pytest.mark.parametrize("q2", [math.nan, math.inf, -math.inf, -0.25, 1.5, Fraction(3, 2)])
+    def test_q2_outside_unit_interval(self, q2):
+        with pytest.raises(ValueError, match=r"q\^2 must lie in \[0, 1\]"):
+            amplifier.iterate_oracle(q2, LogisticParams(max_steps=2), 128)
+
+    def test_needs_no_mpmath(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "mpmath", None)  # any import of it now fails
+        exact = amplifier.iterate_oracle(Fraction(1, 1024), amplifier.params_for_instance(10), 128)
+        assert exact.first_crossing == 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_integer_iterates_keep_the_error_bound(self, data):
+        # against the exact rational iteration, at the precision floor 64 + 2 steps
+        n = data.draw(st.integers(1, 24), label="n")
+        r = data.draw(st.integers(1, 2**n), label="r")
+        steps = data.draw(st.integers(0, 6), label="steps")
+        a = data.draw(st.one_of(st.just(amplifier.DEFAULT_A), st.floats(0.0, 4.0)), label="a")
+        bits = 64 + 2 * steps
+        exact_a = Fraction(371, 100) if a == amplifier.DEFAULT_A else Fraction(a)
+        q2, half = Fraction(r, 2**n), Fraction(1, 2)
+        ints = [x for _, x in zip(range(steps + 1), amplifier.integer_iterates(q2, exact_a, bits))]
+        x, crossing, near = q2, None, False
+        for k, x_int in enumerate(ints):
+            bound = (k + 1) * max(1, exact_a) ** k / 2**bits
+            assert abs(x - Fraction(x_int, 2**bits)) <= bound, k
+            near |= abs(x - half) <= bound
+            if crossing is None and x > half:
+                crossing = k
+            x = exact_a * x * (1 - x)
+        trajectory = amplifier.iterate_oracle(q2, LogisticParams(a, steps), bits)
+        assert trajectory.xs == tuple(x_int / 2**bits for x_int in ints)
+        if not near:  # no exact iterate within the bound of 1/2: the crossing is certain
+            assert trajectory.first_crossing == crossing
 
 
 class TestSweeps:

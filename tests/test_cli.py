@@ -252,7 +252,16 @@ class TestAmplify:
         assert cli.main(["amplify", "--q2", "1/0", "--steps", "3"]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err == "error: --q2 must be a number or a ratio like 1/1024, got '1/0'\n"
+
+    @pytest.mark.parametrize("q2", ["abc", "1/x", ""])
+    def test_non_numeric_q2_is_refused_by_name(self, capsys, q2):
+        assert cli.main(["amplify", "--q2", q2, "--steps", "3"]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --q2 must be a number or a ratio like 1/1024, got {q2!r}\n"
+        )
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1", "2"])
     def test_threshold_outside_unit_interval_is_clean_exit(self, capsys, threshold):
@@ -328,6 +337,17 @@ class TestLindblad:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: gamma must be finite, got ")
+
+    @pytest.mark.parametrize("gamma, shown", [
+        (["--gamma-re", "1e308"], "(1e+308+0j)"),
+        (["--gamma-im", "1e200"], "(1+1e+200j)"),
+    ])
+    def test_overflowing_gamma_is_refused_by_name(self, capsys, gamma, shown):
+        # z**3 in the RK4 step factor passes the float range at these values
+        assert cli.main(["lindblad", "--q", "0.5", *gamma]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gamma {shown} with dt 0.001 overflows the RK4 step factor\n"
 
 
 def cx(matrix):
@@ -526,6 +546,13 @@ class TestEntropySpecErrors:
             assert captured.err.count("\n") == 1
             assert "Traceback" not in captured.err
 
+    def test_dimension_mismatch_is_refused_by_name(self, capsys, tmp_path):
+        spec = json.dumps({**DIAGONAL_SPEC, "rho": cx(np.eye(3) / 3)})
+        assert cli.main(["entropy", "--in", write_spec(tmp_path, spec)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimension mismatch 3 != 2\n"
+
     def test_pure_state_entropy_is_positive_zero(self, capsys, tmp_path):
         spec = {**DIAGONAL_SPEC, "rho": cx(np.diag([1.0, 0.0]))}
         assert cli.main(["entropy", "--in", write_spec(tmp_path, json.dumps(spec))]) == 0
@@ -637,6 +664,23 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: width 3023 at 16777216 rows exceeds 436207616 plane bits\n"
+
+    @pytest.mark.parametrize("engine", ["lindblad", "both"])
+    def test_overflowing_gamma_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path,
+                                                            engine):
+        def oracle(*args, **kwargs):
+            raise AssertionError("solve ran the oracle before refusing gamma")
+
+        monkeypatch.setattr(cli.cnf, "count_satisfying", oracle)
+        path = tmp_path / "n24.cnf"
+        path.write_text("p cnf 24 1\n1 2 0\n")
+        argv = ["solve", str(path), "--engine", engine, "--gamma-re", "1e308"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: gamma (1e+308+0j) with dt 0.001 overflows the RK4 step factor\n"
+        )
 
     def test_oracle_limit_is_refused_before_compiling(self, capsys, monkeypatch, tmp_path):
         def compile_(*args, **kwargs):

@@ -382,6 +382,13 @@ class TestMutualEntropies:
                 "I3": i3,
             }
 
+    def test_dimension_mismatch(self):
+        # checked before the channel's matmul, whose own error is numpy's gufunc text
+        rho, channel = DensityMatrix.maximally_mixed(3), KrausChannel.depolarizing(2)
+        for func in (entropy.mutual_entropies, entropy.ohya_mutual, entropy.entropy_exchange):
+            with pytest.raises(ValueError, match=r"^dimension mismatch 3 != 2$"):
+                func(rho, channel)
+
     def test_theorem7_holds_flags_each_violation(self):
         ok = {"S": 1.0, "S_out": 1.5, "I1": 0.5, "I2": 0.0, "I3": 1.0}
         assert entropy.theorem7_holds(ok) == {

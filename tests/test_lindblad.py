@@ -61,6 +61,12 @@ class TestParams:
         with pytest.raises(ValueError, match="gamma must be finite"):
             DissipativeParams(gamma)
 
+    @pytest.mark.parametrize("gamma, dt", [(1e308, 1e-3), (1e154, 1e-3), (1.0 + 1e200j, 1e-3),
+                                           (1.0, 1e308)])
+    def test_rk4_factors_must_be_finite(self, gamma, dt):
+        with pytest.raises(ValueError, match=r"with dt .* overflows the RK4 step factor"):
+            DissipativeParams(gamma).rk4_factors(dt)
+
     def test_levels_must_be_ordered_integers(self):
         with pytest.raises(ValueError):
             HamiltonianParams(2, 1)
