@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -40,9 +41,12 @@ def _read_instance(path: str) -> cnf.CnfInstance:
 
 def _parse_q2(text: str) -> float:
     try:
-        return float(Fraction(text)) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--q2 must be a number or a ratio like 1/1024, got {text!r}") from None
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ArithmeticError):  # 1/0, or a ratio past the float range
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"--q2 must be a number or a ratio like 1/1024, got {text!r}")
+    return value
 
 
 def _write_csv(path: str | None, header: str, rows) -> None:
@@ -91,9 +95,7 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     instance = _read_instance(args.path)
-    limit = cnf.DEFAULT_BRUTE_FORCE_LIMIT  # solve's oracle refuses the same n
-    if instance.n > limit:  # refused from the header, before compiling
-        raise simulator.WidthCapError(f"n = {instance.n} exceeds row engine limit {limit}")
+    cnf.check_brute_force_limit(instance.n)  # solve's oracle limit, before compiling
     circuit = compiler.compile(instance)
     layout = circuit.layout
     if args.dump_amplitudes and layout.total > 12:
@@ -183,9 +185,9 @@ def cmd_solve(args) -> int:
             params = amplifier.params_for_instance(instance.n, a=args.a)
         else:
             params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
-    if args.engine in ("lindblad", "both"):  # checked at the grid step decide runs on
+    if args.engine in ("lindblad", "both"):  # the grid decide runs on, checked at any q
         gamma = complex(args.gamma_re, args.gamma_im)
-        lindblad.DissipativeParams(gamma).rk4_factors(lindblad.DEFAULT_DT)
+        lindblad.dissipative_grid(gamma)
     # the oracle's and the engine's bounds both refuse before the oracle's 2^n work
     cnf.check_brute_force_limit(instance.n)
     circuit = timed("compile", compiler.compile, instance)
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=int, default=0)
     p.add_argument("--e1", type=int, default=2)
     p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=lindblad.DEFAULT_DT)
+    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_lindblad)
 

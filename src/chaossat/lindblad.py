@@ -166,6 +166,15 @@ def _grid_points(t_final: float, dt: float) -> int:
     return round(ratio) + 1
 
 
+def dissipative_grid(gamma: complex, t_final: float | None = None, dt: float | None = None):
+    """(grid points, dt, RK4 factors) of the dissipative probe: each of its refusals of
+    gamma, grid and step.  t_final defaults to 10 / Re gamma, dt to DEFAULT_DT."""
+    params = DissipativeParams(gamma)
+    dt = DEFAULT_DT if dt is None else dt
+    horizon = 10.0 / complex(gamma).real if t_final is None else t_final
+    return _grid_points(horizon, dt), dt, params.rk4_factors(dt)
+
+
 def _invariants(p1_0: float, p1: np.ndarray, c: np.ndarray):
     """Trace drift, |c| and the lower eigenvalue of the states (p1, c) reached from p1_0."""
     p0 = (1.0 - p1_0) - (p1 - p1_0)  # p0 loses what p1 gains
@@ -183,11 +192,9 @@ class _ClosedForm:
     The grid is checked here; nothing is computed until ``blocks`` runs.
     """
 
-    def __init__(self, rho0: TwoLevelState, params: DissipativeParams, t_final: float,
-                 dt: float):
-        self.points = _grid_points(t_final, dt)
-        self.rho0, self.dt = rho0, dt
-        self.factors = params.rk4_factors(dt)
+    def __init__(self, rho0: TwoLevelState, gamma: complex, t_final, dt):
+        self.rho0 = rho0
+        self.points, self.dt, self.factors = dissipative_grid(gamma, t_final, dt)
 
     def __len__(self) -> int:
         return self.points
@@ -239,11 +246,9 @@ def evolve_dissipative(
 ) -> TrajectoryRecord:
     """Fixed-step RK4 integration of the dissipative master equation, in closed form.
 
-    Aborts if trace or positivity drifts beyond tolerance (1e-9 / 1e-8),
-    which for this linear 2x2 system indicates an integration bug rather
-    than stiffness.
-    """
-    return _ClosedForm(rho0, params, t_final, dt).record()
+    Aborts where trace or positivity drifts beyond 1e-9 / 1e-8, as
+    ``_ClosedForm.blocks`` does."""
+    return _ClosedForm(rho0, params.gamma, t_final, dt).record()
 
 
 def hamiltonian_state_at(
@@ -324,9 +329,7 @@ def _trajectory(q, gamma, energies, t_final, dt):
     if q == 1.0:
         raise ValueError("q = 1 (alpha_0 = 0) is outside both dynamical cases")
     if q > 0.0:
-        params = DissipativeParams(gamma)
-        horizon = t_final if t_final is not None else 10.0 / complex(gamma).real
-        return _ClosedForm(TwoLevelState.from_q(q), params, horizon, dt)
+        return _ClosedForm(TwoLevelState.from_q(q), gamma, t_final, dt)
     period = energies.period
     if period is None:
         raise ValueError("degenerate levels (E0 + 1 = E1) give no oscillation")
@@ -350,7 +353,7 @@ def decide(
     gamma: complex = 1.0 + 0.0j,
     energies: HamiltonianParams = HamiltonianParams(0, 2),
     t_final: float | None = None,
-    dt: float = DEFAULT_DT,
+    dt: float | None = None,
 ) -> tuple[str, str]:
     """(decision, classification) as ``discriminate`` returns them, without its record.
 
@@ -366,7 +369,7 @@ def discriminate(
     gamma: complex = 1.0 + 0.0j,
     energies: HamiltonianParams = HamiltonianParams(0, 2),
     t_final: float | None = None,
-    dt: float = DEFAULT_DT,
+    dt: float | None = None,
 ) -> tuple[str, str, TrajectoryRecord]:
     """Decide q_nonzero vs q_zero from the dynamical behavior.
 

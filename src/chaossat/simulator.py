@@ -30,7 +30,7 @@ from .compiler import QubitLayout
 from .gates import SEMANTICS, GateSequence
 
 DEFAULT_WIDTH_CAP = 26
-MAX_PLANE_BITS = DEFAULT_WIDTH_CAP << 24  # 52 MiB, the planes of width 26 at n = 24
+MAX_PLANE_BITS = 26 << 24  # 52 MiB, the planes of width 26 at n = 24
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 

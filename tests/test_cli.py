@@ -180,7 +180,7 @@ class TestSimulate:
     def test_more_variables_than_the_cap_are_refused_before_compiling(
         self, capsys, monkeypatch, tmp_path
     ):
-        # the row engine takes the oracle's limit, n <= 24, whatever --width-cap says
+        # simulate calls the oracle's own check, n <= 24, whatever --width-cap says
         def no_compile(instance):
             pytest.fail("simulate compiled a circuit for more variables than the limit")
 
@@ -191,7 +191,7 @@ class TestSimulate:
             assert cli.main(["--width-cap", "40", "simulate", str(path)]) == cli.EXIT_ERROR
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: n = {n} exceeds row engine limit 24\n"
+            assert captured.err == f"error: n={n} exceeds brute-force limit 24\n"
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
     def test_width_26_stays_under_200_mib(self, tmp_path):
@@ -254,7 +254,9 @@ class TestAmplify:
         assert captured.out == ""
         assert captured.err == "error: --q2 must be a number or a ratio like 1/1024, got '1/0'\n"
 
-    @pytest.mark.parametrize("q2", ["abc", "1/x", ""])
+    # 1e400 parses as inf, and the 401-digit ratio overflows float division
+    @pytest.mark.parametrize("q2", ["abc", "1/x", "", "1e400", "inf", "nan",
+                                    pytest.param("1" + "0" * 400 + "/1", id="401-digit-ratio")])
     def test_non_numeric_q2_is_refused_by_name(self, capsys, q2):
         assert cli.main(["amplify", "--q2", q2, "--steps", "3"]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
@@ -619,19 +621,30 @@ class TestSolve:
         assert code == (cli.EXIT_SAT if r else cli.EXIT_UNSAT)
 
     @pytest.mark.parametrize("engine", ["lindblad", "both"])
-    @pytest.mark.parametrize("gamma", ["--gamma-re=nan", "--gamma-re=0", "--gamma-re=-1"])
-    def test_gamma_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path, engine,
-                                                 gamma):
+    @pytest.mark.parametrize("gamma", [
+        "--gamma-re=nan", "--gamma-re=0", "--gamma-re=-1", "--gamma-re=1e308", "--gamma-re=1e-4",
+    ])
+    def test_gamma_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path,
+                                                 unsat_file, engine, gamma):
+        # solve calls the probe's own set-up, so it refuses each gamma with the line
+        # lindblad prints, at any q; 1e308 overflows the RK4 step factor and 1e-4
+        # asks for a grid of 1e8 steps
+        assert cli.main(["lindblad", "--q", "0.5", gamma]) == cli.EXIT_ERROR
+        probe = capsys.readouterr()
+        assert probe.out == "" and probe.err.startswith("error: ")
+        assert probe.err.count("\n") == 1
+
         def oracle(*args, **kwargs):
             pytest.fail("solve ran the oracle before refusing gamma")
 
         monkeypatch.setattr(cli.cnf, "count_satisfying", oracle)
         path = tmp_path / "n24.cnf"
         path.write_text("p cnf 24 1\n1 2 0\n")
-        assert cli.main(["solve", str(path), "--engine", engine, gamma]) == cli.EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "gamma must be" in captured.err and captured.err.startswith("error: ")
+        for formula in (str(path), unsat_file):
+            assert cli.main(["solve", formula, "--engine", engine, gamma]) == cli.EXIT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == probe.err
 
     @pytest.mark.parametrize("engine", ["chaos", "lindblad", "both"])
     def test_engine_count_must_equal_the_oracle(self, capsys, monkeypatch, sat_file, engine):
@@ -664,23 +677,6 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: width 3023 at 16777216 rows exceeds 436207616 plane bits\n"
-
-    @pytest.mark.parametrize("engine", ["lindblad", "both"])
-    def test_overflowing_gamma_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path,
-                                                            engine):
-        def oracle(*args, **kwargs):
-            raise AssertionError("solve ran the oracle before refusing gamma")
-
-        monkeypatch.setattr(cli.cnf, "count_satisfying", oracle)
-        path = tmp_path / "n24.cnf"
-        path.write_text("p cnf 24 1\n1 2 0\n")
-        argv = ["solve", str(path), "--engine", engine, "--gamma-re", "1e308"]
-        assert cli.main(argv) == cli.EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: gamma (1e+308+0j) with dt 0.001 overflows the RK4 step factor\n"
-        )
 
     def test_oracle_limit_is_refused_before_compiling(self, capsys, monkeypatch, tmp_path):
         def compile_(*args, **kwargs):
