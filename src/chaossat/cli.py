@@ -35,7 +35,7 @@ def _emit(payload: dict) -> None:
 
 
 def _read_instance(path: str) -> cnf.CnfInstance:
-    with open(path) as handle:
+    with open(path, "rb") as handle:
         return cnf.parse_dimacs(handle.read())
 
 
@@ -179,6 +179,7 @@ def cmd_solve(args) -> int:
         return result
 
     instance = timed("parse", _read_instance, args.path)
+    cnf.check_brute_force_limit(instance.n)  # before the chaos engine's default of 2n steps
     chaos = args.engine in ("chaos", "both")
     if chaos:  # bad parameters are refused before the oracle and the engine run
         if args.steps is None:
@@ -188,10 +189,8 @@ def cmd_solve(args) -> int:
     if args.engine in ("lindblad", "both"):  # the grid decide runs on, checked at any q
         gamma = complex(args.gamma_re, args.gamma_im)
         lindblad.dissipative_grid(gamma)
-    # the oracle's and the engine's bounds both refuse before the oracle's 2^n work
-    cnf.check_brute_force_limit(instance.n)
     circuit = timed("compile", compiler.compile, instance)
-    simulator.check_plane_bound(circuit.sequence.width, instance.n)
+    simulator.check_plane_bound(circuit.sequence.width, instance.n)  # before the oracle's 2^n work
     r = timed("oracle", cnf.count_satisfying, instance)
     probability, rows = timed("simulate", simulator.row_probability, circuit.sequence)
     report = {**_sizes(instance, circuit), "r": r, "probability": probability}

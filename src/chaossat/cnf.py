@@ -26,6 +26,14 @@ class BruteForceLimitError(ValueError):
     """Raised when an instance is too large for exhaustive enumeration."""
 
 
+class ClauseError(ValueError):
+    """Raised by CnfInstance on a clause that breaks a rule; carries its index."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class CnfInstance:
     """A conjunction of clauses over n Boolean variables.
@@ -44,35 +52,40 @@ class CnfInstance:
             raise ValueError(f"variable count must be >= 1, got {n}")
         if len(self.clauses) == 0:
             raise ValueError("instance must contain at least one clause")
-        for clause in self.clauses:
+        for index, clause in enumerate(self.clauses):
             if not clause:
-                raise ValueError("clause must contain at least one literal")
+                raise ClauseError("clause must contain at least one literal", index)
             if len(set(clause)) != len(clause):
-                raise ValueError(f"duplicate literal in clause {clause}")
+                raise ClauseError(f"duplicate literal in clause {clause}", index)
             for lit in clause:
                 if lit == 0:
-                    raise ValueError("variable index must be >= 1, got 0")
+                    raise ClauseError("variable index must be >= 1, got 0", index)
                 if abs(lit) > n:
-                    raise ValueError(f"variable {abs(lit)} exceeds declared count {n}")
+                    raise ClauseError(f"variable {abs(lit)} exceeds declared count {n}", index)
 
     @property
     def m(self) -> int:
         return len(self.clauses)
 
 
-def parse_dimacs(text: str) -> CnfInstance:
-    """Parse DIMACS CNF text into a CnfInstance.
+def parse_dimacs(text: str | bytes) -> CnfInstance:
+    """Parse DIMACS CNF text, or the UTF-8 bytes of a file, into a CnfInstance.
 
     Accepts optional ``c`` comment lines, a single ``p cnf n m`` header and
     exactly m zero-terminated clauses.  Clause tokens may span lines.  A
     line starting with ``%`` (the SATLIB trailer) ends the clause data;
     everything after it is ignored.
     """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            # the bytes before the bad one decode; the "x" stands for the line it is on
+            line = len((text[:exc.start].decode() + "x").splitlines())
+            raise DimacsParseError(f"invalid UTF-8 byte 0x{text[exc.start]:02x}", line) from None
     n = None
-    m = None
-    header_line = 0
-    clauses: list[tuple[int, ...]] = []
-    current: dict[int, None] = {}  # the open clause's literals, in order
+    clauses: list[tuple[int, tuple[int, ...]]] = []  # (the line of its 0, its literals)
+    current: list[int] = []  # the open clause's tokens
     lines = text.splitlines()
 
     for lineno, raw in enumerate(lines, start=1):
@@ -88,31 +101,20 @@ def parse_dimacs(text: str) -> CnfInstance:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsParseError(f"malformed header {line!r}", lineno)
             try:
-                n, m = int(parts[2]), int(parts[3])
+                header_line, n, m = lineno, int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsParseError(f"non-integer header fields in {line!r}", lineno)
-            if n < 1 or m < 1:
-                raise DimacsParseError(f"header requires n >= 1 and m >= 1, got {line!r}", lineno)
-            header_line = lineno
             continue
         if n is None:
             raise DimacsParseError("clause data before 'p cnf' header", lineno)
         for token in line.split():
             try:
-                value = int(token)
+                current.append(int(token))
             except ValueError:
                 raise DimacsParseError(f"non-integer token {token!r}", lineno)
-            if value == 0:
-                if not current:
-                    raise DimacsParseError("empty clause", lineno)
-                clauses.append(tuple(current))
-                current = {}
-                continue
-            if abs(value) > n:
-                raise DimacsParseError(f"variable {abs(value)} exceeds n={n}", lineno)
-            if value in current:
-                raise DimacsParseError(f"duplicate literal {value} in clause", lineno)
-            current[value] = None
+            if current[-1] == 0:
+                clauses.append((lineno, tuple(current[:-1])))
+                current = []
 
     last = len(lines) or 1
     if n is None:
@@ -123,7 +125,11 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise DimacsParseError(
             f"header on line {header_line} declares {m} clauses, found {len(clauses)}", last
         )
-    return CnfInstance(n, tuple(clauses))
+    try:
+        return CnfInstance(n, tuple(clause for _, clause in clauses))
+    except ValueError as exc:  # a clause's rules at the line of its 0, n's and m's at the header
+        line = clauses[exc.index][0] if isinstance(exc, ClauseError) else header_line
+        raise DimacsParseError(str(exc), line) from None
 
 
 def render_dimacs(instance: CnfInstance) -> str:

@@ -90,6 +90,12 @@ class HamiltonianParams:
             raise ValueError("energy levels must be integers")
         if self.e0 >= self.e1:
             raise ValueError(f"requires E0 < E1, got {self.e0}, {self.e1}")
+        try:
+            float(self.detuning)  # period divides by it as a float
+        except OverflowError:
+            raise ValueError(
+                f"--e0 {self.e0} and --e1 {self.e1} give a detuning with no finite float period"
+            ) from None
 
     @property
     def detuning(self) -> int:

@@ -683,12 +683,14 @@ class TestSolve:
             raise AssertionError("solve compiled past the oracle's limit")
 
         monkeypatch.setattr(cli.compiler, "compile", compile_)
-        path = tmp_path / "n25.cnf"
-        path.write_text("p cnf 25 1\n1 2 0\n")
-        assert cli.main(["solve", str(path)]) == cli.EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: n=25 exceeds brute-force limit 24\n"
+        # n = 10^6 is refused before the chaos engine's default 2n steps pass its 10^6
+        for n, text in ((25, "p cnf 25 1\n1 2 0\n"), (1000000, "p cnf 1000000 1\n1 0\n")):
+            path = tmp_path / f"n{n}.cnf"
+            path.write_text(text)
+            assert cli.main(["solve", str(path)]) == cli.EXIT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: n={n} exceeds brute-force limit 24\n"
 
     def test_probe_keeps_no_trajectory(self, capsys, monkeypatch, sat_file, unsat_file):
         def discriminate(*args, **kwargs):

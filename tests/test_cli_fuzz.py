@@ -91,9 +91,11 @@ class TestArgvFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=argvs())
     # rare draws, each reaching a different refusal: a period past the float
-    # range, a ratio past it, a grid of 1e8 steps on an UNSAT file and an
-    # unstable RK4 step
+    # range (refused at q > 0 too, where the run never reads it), a ratio past
+    # it, a grid of 1e8 steps on an UNSAT file and an unstable RK4 step
     @example(argv=["lindblad", "--q=0", "--e1=" + "9" * 401])
+    @example(argv=["lindblad", "--q=0", "--e1=1" + "0" * 400])
+    @example(argv=["lindblad", "--q=0.5", "--e0=-" + "9" * 401])
     @example(argv=["amplify", "--q2=" + "1" + "0" * 400 + "/1", "--steps=5"])
     @example(argv=["solve", "unsat", "--engine=lindblad", "--gamma-re=1e-4"])
     @example(argv=["lindblad", "--q=0.5", "--gamma-re=1e4"])
@@ -154,6 +156,10 @@ class TestDimacsFuzz:
     @given(data=dimacs_bytes(),
            command=st.sampled_from((["oracle"], ["compile"], ["simulate"],
                                     ["solve", "--engine=chaos"], ["solve", "--engine=both"])))
+    @example(data=b"p cnf 2 1\n1 \xff 2 0\n", command=["oracle"])
+    @example(data=b"p cnf 2 1\n1 \xff 2 0\n", command=["compile"])
+    @example(data=b"p cnf 2 1\n1 \xff 2 0\n", command=["simulate"])
+    @example(data=b"p cnf 2 1\n1 \xff 2 0\n", command=["solve", "--engine=both"])
     def test_every_run_ends_cleanly(self, capsys, tmp_path, data, command):
         # solve --engine lindblad alone is left out: on a tautology it reports
         # "unsupported" and exits 1 without an error line, by design
@@ -163,3 +169,8 @@ class TestDimacsFuzz:
         code, out, err = run(capsys, argv)
         assert code != 2, err
         assert_clean(code, out, err)
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:  # the reader names the first bad byte's line
+            assert err.startswith("error: line ")
+            assert err.endswith(f": invalid UTF-8 byte 0x{data[exc.start]:02x}\n"), err

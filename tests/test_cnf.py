@@ -29,7 +29,7 @@ class TestParseDimacs:
         assert inst.clauses == ((1,),)
 
     def test_variable_out_of_bounds(self):
-        with pytest.raises(DimacsParseError, match="line 2.*variable 3 exceeds n=2"):
+        with pytest.raises(DimacsParseError, match="line 2: variable 3 exceeds declared count 2"):
             cnf.parse_dimacs("p cnf 2 1\n3 0\n")
 
     def test_comments_and_multiline_clauses(self):
@@ -45,11 +45,13 @@ class TestParseDimacs:
             cnf.parse_dimacs("p cnf 2 2\n1 0\n")
 
     def test_empty_clause(self):
-        with pytest.raises(DimacsParseError, match="empty clause"):
+        with pytest.raises(DimacsParseError,
+                           match="line 2: clause must contain at least one literal"):
             cnf.parse_dimacs("p cnf 2 1\n0\n")
 
     def test_duplicate_literal_rejected(self):
-        with pytest.raises(DimacsParseError, match="duplicate literal"):
+        with pytest.raises(DimacsParseError,
+                           match=re.escape("line 2: duplicate literal in clause (1, 1)")):
             cnf.parse_dimacs("p cnf 2 1\n1 1 0\n")
 
     def test_satlib_trailer_ends_clause_data(self):
@@ -64,24 +66,61 @@ class TestParseDimacs:
         inst = cnf.parse_dimacs("p cnf 1 1\n1 -1 0\n")
         assert cnf.count_satisfying(inst) == 2
 
+    @pytest.mark.parametrize("text, n, clauses, header", [
+        ("p cnf 0 1\n1 0\n", 0, ((1,),), 1),
+        ("c no clauses\np cnf 2 0\n", 2, (), 2),
+    ], ids=["n-below-1", "no-clause"])
+    def test_rules_on_n_and_m_name_the_header_line(self, text, n, clauses, header):
+        # CnfInstance's own text, after the line of the header
+        with pytest.raises(ValueError) as api:
+            CnfInstance(n, clauses)
+        with pytest.raises(DimacsParseError) as parsed:
+            cnf.parse_dimacs(text)
+        assert str(parsed.value) == f"line {header}: {api.value}"
+
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"p cnf 2 1\n1 \xff 2 0\n", 2, 0xFF),
+        (b"p cnf 2 1\r1 2 0\r\xc3(\n", 3, 0xC3),
+        (b"c caf\xc3\xa9\r\np cnf 1 1\n\xe9", 3, 0xE9),
+        (b"\x80", 1, 0x80),
+    ], ids=["lf", "cr", "crlf-after-utf8", "first-byte"])
+    def test_non_utf8_byte_names_its_line(self, data, line, byte):
+        with pytest.raises(DimacsParseError) as parsed:
+            cnf.parse_dimacs(data)
+        assert str(parsed.value) == f"line {line}: invalid UTF-8 byte 0x{byte:02x}"
+
+    def test_bytes_parse_as_their_text(self):
+        text = "c caf\u00e9\r\np cnf 3 2\r1 -2\n3 0\n-1 2 0\n%\n0\n"
+        assert cnf.parse_dimacs(text.encode()) == cnf.parse_dimacs(text)
+
 
 @pytest.mark.parametrize(
-    "clause, error",
+    "clauses, dimacs, error",
     [
-        ((), "clause must contain at least one literal"),
-        ((1, 0), "variable index must be >= 1, got 0"),
-        ((1, -3), "variable 3 exceeds declared count 2"),
-        ((2, -1, 2), "duplicate literal in clause (2, -1, 2)"),
-        ((1, -1), None),
+        (((2,), ()), "p cnf 2 2\n2 0\n0\n", "clause must contain at least one literal"),
+        # a 0 ends a DIMACS clause, so no file holds this one
+        (((2,), (1, 0)), None, "variable index must be >= 1, got 0"),
+        (((2,), (1, -3)), "p cnf 2 2\n2 0\n1 -3 0\n", "variable 3 exceeds declared count 2"),
+        (((2,), (2, -1, 2)), "p cnf 2 2\n2 0\n2 -1 2 0\n",
+         "duplicate literal in clause (2, -1, 2)"),
+        (((1, 1),), "p cnf 2 1\n1\n1 0\n", "duplicate literal in clause (1, 1)"),
+        (((2,), (1, -1)), "p cnf 2 2\n2 0\n1 -1 0\n", None),
     ],
-    ids=["empty", "zero", "beyond-n", "repeated", "tautology"],
+    ids=["empty", "zero", "beyond-n", "repeated", "repeated-across-lines", "tautology"],
 )
-def test_instance_checks_each_clause(clause, error):
+def test_instance_checks_each_clause(clauses, dimacs, error):
     if error is None:
-        assert CnfInstance(2, ((2,), clause)).clauses == ((2,), clause)
-    else:
-        with pytest.raises(ValueError, match=re.escape(error)):
-            CnfInstance(2, ((2,), clause))
+        assert CnfInstance(2, clauses).clauses == clauses
+        assert cnf.parse_dimacs(dimacs) == CnfInstance(2, clauses)
+        return
+    with pytest.raises(ValueError, match=re.escape(error)) as api:
+        CnfInstance(2, clauses)
+    assert str(api.value) == error
+    if dimacs is not None:
+        # the file gets the same text, at the line of the clause's 0: here its last line
+        with pytest.raises(DimacsParseError) as parsed:
+            cnf.parse_dimacs(dimacs)
+        assert str(parsed.value) == f"line {len(dimacs.splitlines())}: {error}"
 
 
 class TestEvaluate:
@@ -288,6 +327,7 @@ class TestPackedPlanes:
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(
     st.text(),
+    st.binary(),
     st.lists(
         st.sampled_from(["p", "cnf", "c", "%", "0", "1", "-1", "2", "-3", "x", "", "\n", " "]),
         max_size=30,

@@ -81,6 +81,16 @@ class TestParams:
     def test_degenerate_detuning_has_no_period(self):
         assert HamiltonianParams(0, 1).period is None
 
+    @pytest.mark.parametrize("e0, e1", [(0, 10**400), (-(2**1024), 0)])
+    def test_detuning_past_the_float_range_is_refused_by_name(self, e0, e1):
+        with pytest.raises(ValueError) as refused:
+            HamiltonianParams(e0, e1)
+        assert str(refused.value) == (
+            f"--e0 {e0} and --e1 {e1} give a detuning with no finite float period"
+        )
+        # the widest detuning whose period is a float
+        assert HamiltonianParams(0, 2**1023).period > 0.0
+
 
 class TestGenerator:
     def test_ground_state_is_stationary(self):
