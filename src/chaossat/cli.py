@@ -50,13 +50,12 @@ def _parse_q2(text: str) -> float:
 
 
 def _write_csv(path: str | None, header: str, rows) -> None:
+    """Write a trajectory to --csv PATH; stdout holds only the JSON report."""
+    if path is None:
+        return
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def cmd_oracle(args) -> int:
@@ -108,8 +107,8 @@ def cmd_simulate(args) -> int:
         "layout": {"n": layout.n, "mu": layout.mu, "total": layout.total},
     }
     if args.dump_amplitudes:
-        state = simulator.apply(simulator.init_state(layout, args.width_cap), circuit.sequence)
-        payload["amplitudes"] = [[float(a.real), float(a.imag)] for a in state.amps]
+        amps = simulator.apply(simulator.init_state(layout, args.width_cap), circuit.sequence)
+        payload["amplitudes"] = [[float(a.real), float(a.imag)] for a in amps]
     _emit(payload)
     return 0
 
@@ -118,7 +117,7 @@ def cmd_amplify(args) -> int:
     q2 = _parse_q2(args.q2)
     params = amplifier.LogisticParams(a=args.a, max_steps=args.steps, threshold=args.threshold)
     decision, trajectory = amplifier.decide_sat(q2, params)
-    _write_csv(args.csv, "step,x", list(enumerate(trajectory.xs)))
+    _write_csv(args.csv, "step,x", enumerate(trajectory.xs))
     _emit({"decision": decision, "first_crossing": trajectory.first_crossing})
     return EXIT_SAT if decision == "SAT" else EXIT_UNSAT
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,10 @@ DEFAULT_BRUTE_FORCE_LIMIT = 24
 # assignments (2 KiB) and ORs the runs of at most _BATCH clauses at a time
 _RUN_LOG2 = 14
 _BATCH = 64
+# a DIMACS integer: ASCII digits, no more than int()'s default limit of 4300;
+# int() alone would also take "+2", "1_0" and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]{1,4300}")
+_INTEGERS = re.compile(rf"{_INTEGER.pattern}(?:\s+{_INTEGER.pattern})*")  # a line of them
 
 
 class DimacsParseError(ValueError):
@@ -72,9 +77,9 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
     """Parse DIMACS CNF text, or the UTF-8 bytes of a file, into a CnfInstance.
 
     Accepts optional ``c`` comment lines, a single ``p cnf n m`` header and
-    exactly m zero-terminated clauses.  Clause tokens may span lines.  A
-    line starting with ``%`` (the SATLIB trailer) ends the clause data;
-    everything after it is ignored.
+    exactly m zero-terminated clauses.  Integers are ASCII ``-?[0-9]+``.
+    Clause tokens may span lines.  A line starting with ``%`` (the SATLIB
+    trailer) ends the clause data; everything after it is ignored.
     """
     if isinstance(text, bytes):
         try:
@@ -100,19 +105,19 @@ def parse_dimacs(text: str | bytes) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsParseError(f"malformed header {line!r}", lineno)
-            try:
-                header_line, n, m = lineno, int(parts[2]), int(parts[3])
-            except ValueError:
+            if not (_INTEGER.fullmatch(parts[2]) and _INTEGER.fullmatch(parts[3])):
                 raise DimacsParseError(f"non-integer header fields in {line!r}", lineno)
+            header_line, n, m = lineno, int(parts[2]), int(parts[3])
             continue
         if n is None:
             raise DimacsParseError("clause data before 'p cnf' header", lineno)
-        for token in line.split():
-            try:
-                current.append(int(token))
-            except ValueError:
-                raise DimacsParseError(f"non-integer token {token!r}", lineno)
-            if current[-1] == 0:
+        tokens = line.split()
+        if not _INTEGERS.fullmatch(line):  # one check per line, then the token at fault
+            bad = next(token for token in tokens if not _INTEGER.fullmatch(token))
+            raise DimacsParseError(f"non-integer token {bad!r}", lineno)
+        for literal in map(int, tokens):
+            current.append(literal)
+            if literal == 0:
                 clauses.append((lineno, tuple(current[:-1])))
                 current = []
 

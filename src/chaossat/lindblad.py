@@ -66,16 +66,21 @@ class DissipativeParams:
         """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 for p1 and the coherence, z = rate dt.
 
         _rhs is linear and diagonal, so one RK4 step of size dt multiplies
-        each by its R(z).  A gamma whose R(z) is not finite at dt is refused.
+        each by its R(z).  A gamma whose R(z) is not finite at dt is refused,
+        and so is one with |R(z)| >= 1, whose step cannot damp.
         """
         try:
             factors = tuple(1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24
                             for z in _rhs(dt, dt, complex(self.gamma)))
-            if all(map(cmath.isfinite, factors)):
-                return factors
-        except OverflowError:  # z**3 or z**4 past the float range
-            pass
-        raise ValueError(f"gamma {self.gamma} with dt {dt} overflows the RK4 step factor")
+            radii = [abs(f) for f in factors]  # nan or inf where a factor is not finite
+        except OverflowError:  # z**3, z**4 or |R(z)| past the float range
+            radii = [math.inf]
+        if not all(map(math.isfinite, radii)):
+            raise ValueError(f"gamma {self.gamma} with dt {dt} overflows the RK4 step factor")
+        if max(radii) >= 1.0:
+            raise ValueError(f"gamma {self.gamma} with dt {dt} gives an unstable RK4 step: "
+                             f"|R(z)| = {max(radii)} >= 1")
+        return factors
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,11 @@ Qubit 1 is the most significant bit of a basis index, so the register
 reads left to right like a tensor product.
 
 ``apply`` is the dense engine behind ``simulate --dump-amplitudes``:
-the state is a dense 2^width vector, and each gate makes one pass over
-all of it.  A Hadamard wire is a butterfly over the two halves of that
-wire's axis; a classical gate swaps the two target halves of each slice
-whose control bits match a pattern on which the gate table flips the
-target.
+the state is a plain array of 2^width complex amplitudes, and each gate
+makes one pass over all of it.  A Hadamard wire is a butterfly over the
+two halves of that wire's axis; a classical gate swaps the two target
+halves of each slice whose control bits match a pattern on which the
+gate table flips the target.
 
 ``row_probability`` is the engine behind the success probability that
 ``simulate`` and ``solve`` print.  A compiled circuit is one Hadamard
@@ -22,7 +22,6 @@ wire, and refuses width * 2^k > MAX_PLANE_BITS before it builds any.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,23 +38,9 @@ class WidthCapError(ValueError):
     """A register or its bit planes would exceed a memory bound."""
 
 
-@dataclass
-class StateVector:
-    """2^width complex amplitudes; qubit 1 is the most significant index bit."""
-
-    width: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=np.complex128)
-        if self.amps.shape != (2**self.width,):
-            raise ValueError(
-                f"expected {2**self.width} amplitudes, got shape {self.amps.shape}"
-            )
-
-
-def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
-    """The all-zeros basis state for a layout (or explicit width)."""
+def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> np.ndarray:
+    """The 2^width complex amplitudes of the all-zeros basis state for a layout
+    (or explicit width); qubit 1 is the most significant index bit."""
     width = layout if isinstance(layout, int) else layout.total
     if width > cap:
         raise WidthCapError(f"width {width} exceeds cap {cap}")
@@ -63,21 +48,21 @@ def init_state(layout: QubitLayout | int, cap: int = DEFAULT_WIDTH_CAP) -> State
         raise ValueError(f"width must be >= 1, got {width}")
     amps = np.zeros(2**width, dtype=np.complex128)
     amps[0] = 1.0
-    return StateVector(width, amps)
+    return amps
 
 
-def apply(state: StateVector, seq: GateSequence) -> StateVector:
-    """Run a gate sequence, returning a new state.
+def apply(amps: np.ndarray, seq: GateSequence) -> np.ndarray:
+    """Run a gate sequence on 2**seq.width amplitudes, returning a new array.
 
     Every gate is one pass over the whole register, seen as a
     (2,) * width tensor with wire w on axis w - 1.  The halves of an
     axis are views into one copy of the input, which each gate updates
     in place.
     """
-    if seq.width != state.width:
-        raise ValueError(f"sequence width {seq.width} != state width {state.width}")
-    out = state.amps.copy()
-    view = out.reshape((2,) * state.width)
+    if np.shape(amps) != (2**seq.width,):
+        raise ValueError(f"expected {2**seq.width} amplitudes, got shape {np.shape(amps)}")
+    out = np.array(amps, dtype=np.complex128)
+    view = out.reshape((2,) * seq.width)
     for op in seq.ops:
         if op.kind == "H_BLOCK":
             for wire in op.wires:
@@ -96,18 +81,18 @@ def apply(state: StateVector, seq: GateSequence) -> StateVector:
             saved = half0.copy()
             half0[...] = half1
             half1[...] = saved
-    return StateVector(state.width, out)
+    return out
 
 
-def success_probability(state: StateVector, layout: QubitLayout) -> float:
+def success_probability(amps: np.ndarray, layout: QubitLayout) -> float:
     """Probability that the result qubit (the last wire) reads 1.
 
     The sum of |a|^2 is correctly rounded (``math.fsum``), so it does
     not depend on where in the register the amplitudes sit.
     """
-    if state.width != layout.total:
-        raise ValueError(f"state width {state.width} != layout total {layout.total}")
-    odd = state.amps[1::2]
+    if np.shape(amps) != (2**layout.total,):
+        raise ValueError(f"expected {2**layout.total} amplitudes, got shape {np.shape(amps)}")
+    odd = amps[1::2]
     return math.fsum((np.abs(odd[odd != 0]) ** 2).tolist())
 
 

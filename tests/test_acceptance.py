@@ -47,8 +47,8 @@ GOLDEN_CORPUS = [
 
 def _probability_matches_oracle(inst):
     circuit = compiler.compile(inst)
-    state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-    probability = simulator.success_probability(state, circuit.layout)
+    amps = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+    probability = simulator.success_probability(amps, circuit.layout)
     expected = cnf.count_satisfying(inst) / 2**inst.n
     return abs(probability - expected) < 1e-10
 
@@ -308,12 +308,12 @@ class TestCriterion9:
         """Best-of-three per-element time for one controlled flip at each width."""
         times = {}
         for width in range(18, 25):
-            state = simulator.init_state(width)
+            amps = simulator.init_state(width)
             seq = gates.GateSequence(width, (gates.GateOp("CN", (1, width)),))
             best = math.inf
             for _ in range(3):
                 start = time.perf_counter()
-                state = simulator.apply(state, seq)
+                amps = simulator.apply(amps, seq)
                 best = min(best, time.perf_counter() - start)
             times[width] = best / 2**width
         return times

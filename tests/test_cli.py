@@ -34,9 +34,7 @@ def unsat_file(tmp_path):
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
-    # CSV trajectories without --csv precede the JSON report on stdout
-    brace = out.find("{")
-    return code, json.loads(out[brace:]) if brace >= 0 else out
+    return code, json.loads(out) if out else out
 
 
 class TestOracle:
@@ -240,13 +238,28 @@ class TestAmplify:
 
     def test_csv_output(self, capsys, tmp_path):
         csv_path = tmp_path / "traj.csv"
-        code, _ = run(
+        code, payload = run(
             capsys, "amplify", "--q2", "0.5", "--steps", "3", "--csv", str(csv_path)
         )
         assert code == cli.EXIT_SAT
+        assert payload == {"decision": "SAT", "first_crossing": 1}
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "step,x"
         assert len(lines) == 5
+
+    def test_csv_to_dev_stdout_precedes_the_report(self):
+        # the CSV goes only where --csv names; /dev/stdout puts it before the JSON
+        argv = ["-m", "chaossat.cli", "amplify", "--q2", "0.5", "--steps", "1",
+                "--csv", "/dev/stdout"]
+        src = os.path.dirname(os.path.dirname(chaossat.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == cli.EXIT_SAT, done.stderr
+        csv, report = done.stdout.split("{", 1)
+        assert csv == "step,x\n0,0.5\n1,0.9275\n"
+        assert json.loads("{" + report) == {"decision": "SAT", "first_crossing": 1}
 
     def test_zero_denominator_is_clean_exit(self, capsys):
         assert cli.main(["amplify", "--q2", "1/0", "--steps", "3"]) == cli.EXIT_ERROR
@@ -296,13 +309,14 @@ class TestAmplify:
 
 
 class TestLindblad:
+    # without --csv, run() reads the whole stdout as one JSON document
     def test_nonzero_q(self, capsys):
-        code, payload = run(capsys, "lindblad", "--q", "0.03125", "--csv", "/dev/null")
+        code, payload = run(capsys, "lindblad", "--q", "0.03125")
         assert code == 0
         assert payload == {"classification": "DAMPED", "decision": "q_nonzero"}
 
     def test_zero_q(self, capsys):
-        code, payload = run(capsys, "lindblad", "--q", "0", "--csv", "/dev/null")
+        code, payload = run(capsys, "lindblad", "--q", "0")
         assert code == 0
         assert payload == {"classification": "OSCILLATORY", "decision": "q_zero"}
 
@@ -623,12 +637,13 @@ class TestSolve:
     @pytest.mark.parametrize("engine", ["lindblad", "both"])
     @pytest.mark.parametrize("gamma", [
         "--gamma-re=nan", "--gamma-re=0", "--gamma-re=-1", "--gamma-re=1e308", "--gamma-re=1e-4",
+        "--gamma-re=1.4e3",
     ])
     def test_gamma_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path,
                                                  unsat_file, engine, gamma):
         # solve calls the probe's own set-up, so it refuses each gamma with the line
-        # lindblad prints, at any q; 1e308 overflows the RK4 step factor and 1e-4
-        # asks for a grid of 1e8 steps
+        # lindblad prints, at any q; 1e308 overflows the RK4 step factor, 1e-4
+        # asks for a grid of 1e8 steps and 1.4e3 gives a step with |R(z)| > 1
         assert cli.main(["lindblad", "--q", "0.5", gamma]) == cli.EXIT_ERROR
         probe = capsys.readouterr()
         assert probe.out == "" and probe.err.startswith("error: ")
@@ -645,6 +660,12 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == probe.err
+
+    def test_gamma_below_the_stability_limit_still_decides(self, capsys, sat_file):
+        # Re gamma dt = 1 at the default grid step: |R(z)| = 1/3 for p1, 3/8 for the coherence
+        code, payload = run(capsys, "solve", sat_file, "--engine", "lindblad", "--gamma-re", "1e3")
+        assert code == cli.EXIT_SAT
+        assert payload["lindblad"] == {"decision": "q_nonzero", "classification": "DAMPED"}
 
     @pytest.mark.parametrize("engine", ["chaos", "lindblad", "both"])
     def test_engine_count_must_equal_the_oracle(self, capsys, monkeypatch, sat_file, engine):

@@ -6,6 +6,7 @@ or exit 2 from argparse's own usage error.  No run may print a
 traceback, numpy's ``np.`` or ``gufunc`` text, or an exception repr.
 """
 
+import json
 import re
 
 from hypothesis import HealthCheck, example, given, settings
@@ -67,6 +68,7 @@ def assert_clean(code, out, err):
     else:
         assert code in (0, cli.EXIT_SAT, cli.EXIT_UNSAT), (code, err)
         assert err == ""
+        json.loads(out)  # the whole stdout is one JSON document
 
 
 @st.composite
@@ -128,7 +130,8 @@ def dimacs_bytes(draw):
     trailer = b""
     for _ in range(draw(st.integers(0, 3))):
         mutation = draw(st.sampled_from(
-            ("drop", "duplicate", "zero", "past-n", "trailer", "non-utf8", "big-n")
+            ("drop", "duplicate", "zero", "past-n", "trailer", "non-utf8", "not-dimacs-int",
+             "big-n")
         ))
         at = draw(st.integers(0, len(tokens)))
         if mutation == "drop" and tokens:
@@ -144,6 +147,9 @@ def dimacs_bytes(draw):
         elif mutation == "non-utf8":
             # bytes 0xff, 0xc3 0x28 and 0xe9, none of them valid UTF-8
             tokens.insert(at, draw(st.sampled_from(("\udcff", "\udcc3(", "\udce9"))))
+        elif mutation == "not-dimacs-int":
+            # int() reads each of these as a number; a DIMACS file may not hold them
+            tokens.insert(at, draw(st.sampled_from(("+1", "1_0", "\u0661", "-\u0662"))))
         else:
             header[2] = str(draw(st.sampled_from(BIG_N))).encode()
     body = " ".join(tokens).encode("utf-8", "surrogateescape")

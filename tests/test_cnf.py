@@ -89,6 +89,22 @@ class TestParseDimacs:
             cnf.parse_dimacs(data)
         assert str(parsed.value) == f"line {line}: invalid UTF-8 byte 0x{byte:02x}"
 
+    @pytest.mark.parametrize("text, error", [
+        ("p cnf 2 1\n1 x 0\n", "line 2: non-integer token 'x'"),
+        ("p cnf 2 1\n+1 2 0\n", "line 2: non-integer token '+1'"),
+        ("p cnf 10 1\n1_0 0\n", "line 2: non-integer token '1_0'"),
+        ("p cnf 2 1\n\u0661 2 0\n", "line 2: non-integer token '\u0661'"),
+        ("p cnf 2 1\n" + "1" * 4301 + " 0\n", f"line 2: non-integer token {'1' * 4301!r}"),
+        ("p cnf 1_0 1\n1 0\n", "line 1: non-integer header fields in 'p cnf 1_0 1'"),
+        ("p cnf 2 +1\n1 0\n", "line 1: non-integer header fields in 'p cnf 2 +1'"),
+    ], ids=["letter", "plus", "underscore", "arabic-indic", "past-int-digit-limit",
+            "header-underscore", "header-plus"])
+    def test_integers_are_ascii_digits(self, text, error):
+        # int() alone takes +1, 1_0 and non-ASCII digits; DIMACS integers are -?[0-9]+
+        with pytest.raises(DimacsParseError) as parsed:
+            cnf.parse_dimacs(text)
+        assert str(parsed.value) == error
+
     def test_bytes_parse_as_their_text(self):
         text = "c caf\u00e9\r\np cnf 3 2\r1 -2\n3 0\n-1 2 0\n%\n0\n"
         assert cnf.parse_dimacs(text.encode()) == cnf.parse_dimacs(text)
@@ -329,7 +345,8 @@ class TestPackedPlanes:
     st.text(),
     st.binary(),
     st.lists(
-        st.sampled_from(["p", "cnf", "c", "%", "0", "1", "-1", "2", "-3", "x", "", "\n", " "]),
+        st.sampled_from(["p", "cnf", "c", "%", "0", "1", "-1", "2", "-3", "x", "", "\n", " ",
+                         "+1", "1_0", "\u0661"]),
         max_size=30,
     ).map(" ".join),
     st.lists(st.integers(-4, 4).map(str), max_size=20).map(

@@ -67,6 +67,17 @@ class TestParams:
         with pytest.raises(ValueError, match=r"with dt .* overflows the RK4 step factor"):
             DissipativeParams(gamma).rk4_factors(dt)
 
+    # p1's step past Re gamma dt = 1.39, the coherence's alone, and a z so small that R(z) is 1.0
+    @pytest.mark.parametrize("gamma, dt, radius", [(1400, 1e-3, "1.0224000000000006"),
+                                                   (0.1 + 3j, 1.0, "1.351498830523449"),
+                                                   (1e-20, 1e-3, "1.0")])
+    def test_rk4_factors_must_damp(self, gamma, dt, radius):
+        with pytest.raises(ValueError) as info:
+            DissipativeParams(gamma).rk4_factors(dt)
+        assert str(info.value) == (f"gamma {gamma} with dt {dt} gives an unstable RK4 step: "
+                                   f"|R(z)| = {radius} >= 1")
+        assert max(map(abs, DissipativeParams(1000).rk4_factors(1e-3))) < 1.0  # Re gamma dt = 1
+
     def test_levels_must_be_ordered_integers(self):
         with pytest.raises(ValueError):
             HamiltonianParams(2, 1)
@@ -125,6 +136,13 @@ class TestGenerator:
             assert complex(drho[0, 1]) == pytest.approx(dc, abs=1e-12)
 
 
+def unchecked_factors(params, dt):
+    """DissipativeParams.rk4_factors without its refusals: factors set by hand,
+    so that an unstable step reaches the per-point invariant check."""
+    return tuple(1.0 + z + z * z / 2 + z**3 / 6 + z**4 / 24
+                 for z in lindblad._rhs(dt, dt, complex(params.gamma)))
+
+
 def rk4_reference(rho0, g, t_final, dt):
     """The integrator stepped one RK4 step at a time, as a reference."""
     p1, c = rho0.p1, rho0.coherence
@@ -169,11 +187,29 @@ class TestEvolveDissipative:
         assert np.abs(record.p1 - p1_ref).max() < 1e-12
         assert np.abs(record.coherence - c_ref).max() < 1e-12
 
-    def test_unstable_step_violates_invariant(self):
-        # dt = 2 gives z = -4 for p1 and R(-4) = 5: p1 grows past 1 on the first step
-        with pytest.raises(RuntimeError, match=r"state invariant violated at t=2\.0:"):
+    def test_unstable_step_violates_invariant(self, monkeypatch):
+        # dt = 2 gives z = -4 for p1 and R(-4) = 5: the step is refused at set-up,
+        # and with its factors set by hand p1 grows past 1 on the first step
+        def run():
             lindblad.evolve_dissipative(
                 TwoLevelState.from_q(0.6), DissipativeParams(1.0), 10.0, dt=2.0
+            )
+
+        with pytest.raises(ValueError, match=r"^gamma 1\.0 with dt 2\.0 gives an unstable "
+                                             r"RK4 step: \|R\(z\)\| = 5\.0 >= 1$"):
+            run()
+        monkeypatch.setattr(DissipativeParams, "rk4_factors", unchecked_factors)
+        with pytest.raises(RuntimeError, match=r"state invariant violated at t=2\.0:"):
+            run()
+
+    def test_stable_step_can_still_lose_positivity(self):
+        # |R(z)| < 1 for p1 and the coherence, but |R_c|^2 > R_p1: the coherence
+        # outlasts the population, and the per-point check catches it at step 13
+        factors = DissipativeParams(1 + 2j).rk4_factors(0.5)
+        assert max(map(abs, factors)) < 1.0 < abs(factors[1]) ** 2 / factors[0]
+        with pytest.raises(RuntimeError, match=r"state invariant violated at t=6\.5:"):
+            lindblad.evolve_dissipative(
+                TwoLevelState.from_q(0.5), DissipativeParams(1 + 2j), 10.0, dt=0.5
             )
 
     def test_monotone_population_decay(self):
@@ -299,7 +335,8 @@ def outcome(func):
 
 
 BLOCK = lindblad.BLOCK
-# (q, gamma, dt): an unstable coherence step whose invariant first fails at step 2729
+# (q, gamma, dt): an unstable coherence step (|R(z)| = 1.0089, refused unless its
+# factors are set by hand) whose invariant first fails at step 2729
 THIRD_BLOCK_FAILURE = (5.48928633130162e-06, 3.1574590510901506 + 1.8566128185864148j,
                        0.4419986637917949)
 
@@ -317,11 +354,11 @@ class TestDecide:
         dt=st.sampled_from([1e-3, 2.0]) | st.floats(1e-3, 2.0),
         default_horizon=st.booleans(),
     )
-    # too short to damp (STATIONARY), unstable at dt = 2 (invariant at t = 2.0), on a block edge
+    # too short to damp (STATIONARY), unstable at dt = 2 (refused at set-up), on a block edge
     @example(q=0.5, re=1.0, im=0.0, points=101, dt=1e-3, default_horizon=False)
     @example(q=0.6, re=1.0, im=0.0, points=6, dt=2.0, default_horizon=False)
     @example(q=0.25, re=1.0, im=3.0, points=2 * BLOCK, dt=5e-3, default_horizon=False)
-    # an invariant that first fails in the third block, at step 2729
+    # a step refused at set-up whose hand-set factors fail in the third block
     @example(q=THIRD_BLOCK_FAILURE[0], re=THIRD_BLOCK_FAILURE[1].real,
              im=THIRD_BLOCK_FAILURE[1].imag, points=4096, dt=THIRD_BLOCK_FAILURE[2],
              default_horizon=False)
@@ -332,9 +369,10 @@ class TestDecide:
         expected = outcome(lambda: lindblad.discriminate(q, gamma, t_final=t_final, dt=dt)[:2])
         assert outcome(lambda: lindblad.decide(q, gamma, t_final=t_final, dt=dt)) == expected
 
-    def test_invariant_failure_past_the_first_block(self):
+    def test_invariant_failure_past_the_first_block(self, monkeypatch):
         # the blocks take R^k from two tables, whose product reads the eigenvalue
         # as -0.007643985161585931 here; the error quotes R^k itself
+        monkeypatch.setattr(DissipativeParams, "rk4_factors", unchecked_factors)
         q, gamma, dt = THIRD_BLOCK_FAILURE
         message = ("state invariant violated at t=1206.2143534878082: "
                    "trace drift 0.0, min eigenvalue -0.007643985161585709")

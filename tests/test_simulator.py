@@ -18,11 +18,12 @@ H1 = GateOp("H_BLOCK", (1,))
 
 class TestInitState:
     def test_three_qubits(self):
-        state = simulator.init_state(3)
-        assert np.array_equal(state.amps, [1, 0, 0, 0, 0, 0, 0, 0])
+        amps = simulator.init_state(3)
+        assert amps.dtype == np.complex128
+        assert np.array_equal(amps, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_one_qubit(self):
-        assert np.array_equal(simulator.init_state(1).amps, [1, 0])
+        assert np.array_equal(simulator.init_state(1), [1, 0])
 
     def test_width_cap(self):
         with pytest.raises(WidthCapError):
@@ -31,24 +32,25 @@ class TestInitState:
 
 class TestApply:
     def test_hadamard_on_zero(self):
-        state = simulator.apply(
+        amps = simulator.apply(
             simulator.init_state(1), GateSequence(1, (GateOp("H_BLOCK", (1,)),))
         )
-        assert np.allclose(state.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        assert np.allclose(amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_cn_flips_conditionally(self):
         # |10> has index 2 with qubit 1 as the most significant bit
-        start = simulator.StateVector(2, np.array([0, 0, 1, 0], dtype=complex))
-        state = simulator.apply(start, GateSequence(2, (GateOp("CN", (1, 2)),)))
-        assert np.allclose(state.amps, [0, 0, 0, 1])
+        start = np.array([0, 0, 1, 0], dtype=complex)
+        amps = simulator.apply(start, GateSequence(2, (GateOp("CN", (1, 2)),)))
+        assert np.allclose(amps, [0, 0, 0, 1])
+        assert np.array_equal(start, [0, 0, 1, 0])  # a new array: the input is not touched
 
     def test_circuit_produces_uniform_truth_superposition(self):
         inst = CnfInstance(2, ((1, 2),))
         circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+        amps = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
         n, total = inst.n, circuit.layout.total
         nonzero = {
-            index: amp for index, amp in enumerate(state.amps) if abs(amp) > 1e-12
+            index: amp for index, amp in enumerate(amps) if abs(amp) > 1e-12
         }
         assert len(nonzero) == 4
         for index, amp in nonzero.items():
@@ -57,47 +59,57 @@ class TestApply:
             assert bits[-1] == cnf.evaluate(inst, bits[:n])
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
+        # the array's length is the one shape rule: 2**seq.width amplitudes
+        with pytest.raises(ValueError, match=r"^expected 8 amplitudes, got shape \(4,\)$"):
             simulator.apply(simulator.init_state(2), GateSequence(3, ()))
+        with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got shape \(2, 2\)$"):
+            simulator.apply(np.eye(2), GateSequence(2, ()))
 
     def test_norm_preserved_per_gate(self, rng):
         inst = random_instance(rng, max_vars=6, max_clauses=8)
         circuit = compiler.compile(inst)
-        state = simulator.init_state(circuit.layout)
+        amps = simulator.init_state(circuit.layout)
         for op in circuit.sequence.ops:
-            state = simulator.apply(
-                state, GateSequence(circuit.layout.total, (op,))
+            amps = simulator.apply(
+                amps, GateSequence(circuit.layout.total, (op,))
             )
-            assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 class TestSuccessProbability:
     def test_three_quarters(self):
         inst = CnfInstance(2, ((1, 2),))
         circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        assert simulator.success_probability(state, circuit.layout) == pytest.approx(0.75)
+        amps = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+        assert simulator.success_probability(amps, circuit.layout) == pytest.approx(0.75)
 
     def test_unsat_is_zero(self):
         inst = CnfInstance(1, ((1,), (-1,)))
         circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        assert simulator.success_probability(state, circuit.layout) < 1e-12
+        amps = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+        assert simulator.success_probability(amps, circuit.layout) < 1e-12
 
     def test_unit_clause_half(self):
         inst = CnfInstance(1, ((1,),))
         circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        assert simulator.success_probability(state, circuit.layout) == pytest.approx(0.5)
+        amps = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+        assert simulator.success_probability(amps, circuit.layout) == pytest.approx(0.5)
+
+    def test_length_must_match_the_layout(self):
+        # the array's length is the one shape rule: 2**layout.total amplitudes
+        layout = compiler.compile(CnfInstance(1, ((1,),))).layout
+        with pytest.raises(ValueError, match=rf"^expected {2**layout.total} amplitudes, "
+                                             r"got shape \(4,\)$"):
+            simulator.success_probability(simulator.init_state(2), layout)
 
     def test_matches_oracle(self, rng):
         for _ in range(30):
             inst = random_instance(rng, max_vars=6, max_clauses=8, max_total=18)
             circuit = compiler.compile(inst)
-            state = simulator.apply(
+            amps = simulator.apply(
                 simulator.init_state(circuit.layout), circuit.sequence
             )
-            probability = simulator.success_probability(state, circuit.layout)
+            probability = simulator.success_probability(amps, circuit.layout)
             expected = cnf.count_satisfying(inst) / 2**inst.n
             assert probability == pytest.approx(expected, abs=1e-10)
 
@@ -119,8 +131,8 @@ def cnf_instances(draw, max_width=18):
 
 
 def dense_probability(circuit):
-    state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-    return simulator.success_probability(state, circuit.layout)
+    amps = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+    return simulator.success_probability(amps, circuit.layout)
 
 
 def basis_count(circuit):
@@ -226,9 +238,9 @@ class TestPostMeasure:
     def test_completeness(self):
         inst = CnfInstance(2, ((1, 2), (-1, 2)))
         circuit = compiler.compile(inst)
-        state = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
-        probability = simulator.success_probability(state, circuit.layout)
-        pairs = state.amps.reshape(-1, 2)
+        amps = simulator.apply(simulator.init_state(circuit.layout), circuit.sequence)
+        probability = simulator.success_probability(amps, circuit.layout)
+        pairs = amps.reshape(-1, 2)
         complement = float(np.sum(np.abs(pairs[:, 0]) ** 2))
         assert probability + complement == pytest.approx(1.0, abs=1e-10)
 
@@ -239,13 +251,13 @@ class TestGateTable:
         for op in ops_of_kind(kind):
             seq = GateSequence(4, (op,))
             for index in range(16):
-                start = simulator.StateVector(4, np.eye(16)[index])
+                start = np.eye(16)[index]
                 bits = cnf.assignment_from_index(index, 4)
                 image = gates.run_basis(seq, bits)
                 once = simulator.apply(start, seq)
-                assert once.amps[int("".join(map(str, image)), 2)] == 1
-                assert np.count_nonzero(once.amps) == 1
-                assert np.array_equal(simulator.apply(once, seq).amps, start.amps)
+                assert once[int("".join(map(str, image)), 2)] == 1
+                assert np.count_nonzero(once) == 1
+                assert np.array_equal(simulator.apply(once, seq), start)
                 assert gates.run_basis(seq, image) == bits
 
 
@@ -264,9 +276,9 @@ def _halves(view, axis, fixed=()):
     return half0, view[tuple(index)]
 
 
-def reference_apply(state, seq):
-    out = state.amps.copy()
-    view = out.reshape((2,) * state.width)
+def reference_apply(amps, seq):
+    out = amps.copy()
+    view = out.reshape((2,) * seq.width)
     for op in seq.ops:
         if op.kind == "H_BLOCK":
             for wire in op.wires:
@@ -300,7 +312,7 @@ def states(draw, width):
     amps = np.zeros(size, dtype=np.complex128)
     for index in support:
         amps[index] = complex(draw(PARTS), draw(PARTS))
-    return simulator.StateVector(width, amps)
+    return amps
 
 
 @st.composite
@@ -333,27 +345,27 @@ class TestSupportEngine:
 
     @pytest.mark.parametrize("kind", PERMUTATION_KINDS)
     @settings(max_examples=40, deadline=None)
-    @given(state=states(4))
-    def test_permutation_matches_reference(self, kind, state):
+    @given(amps=states(4))
+    def test_permutation_matches_reference(self, kind, amps):
         for op in ops_of_kind(kind):
             seq = GateSequence(4, (op,))
-            assert simulator.apply(state, seq).amps.tobytes() == reference_apply(state, seq).tobytes()
+            assert simulator.apply(amps, seq).tobytes() == reference_apply(amps, seq).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), width=st.integers(1, 5))
     def test_h_block_matches_reference(self, data, width):
-        state = data.draw(states(width))
+        amps = data.draw(states(width))
         wires = data.draw(st.lists(st.integers(1, width), min_size=1, unique=True))
         seq = GateSequence(width, (GateOp("H_BLOCK", tuple(wires)),))
-        assert simulator.apply(state, seq).amps.tobytes() == reference_apply(state, seq).tobytes()
+        assert simulator.apply(amps, seq).tobytes() == reference_apply(amps, seq).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(circuit=circuits(), data=st.data())
     def test_sequence_whole_and_split(self, circuit, data):
-        state, seq = circuit
-        expected = reference_apply(state, seq).tobytes()
-        assert simulator.apply(state, seq).amps.tobytes() == expected
+        amps, seq = circuit
+        expected = reference_apply(amps, seq).tobytes()
+        assert simulator.apply(amps, seq).tobytes() == expected
         k = data.draw(st.integers(0, len(seq.ops)))
-        head = simulator.apply(state, GateSequence(seq.width, seq.ops[:k]))
+        head = simulator.apply(amps, GateSequence(seq.width, seq.ops[:k]))
         tail = simulator.apply(head, GateSequence(seq.width, seq.ops[k:]))
-        assert tail.amps.tobytes() == expected
+        assert tail.tobytes() == expected
