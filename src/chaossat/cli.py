@@ -49,10 +49,8 @@ def _parse_q2(text: str) -> float:
     return value
 
 
-def _write_csv(path: str | None, header: str, rows) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
     """Write a trajectory to --csv PATH; stdout holds only the JSON report."""
-    if path is None:
-        return
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -117,7 +115,8 @@ def cmd_amplify(args) -> int:
     q2 = _parse_q2(args.q2)
     params = amplifier.LogisticParams(a=args.a, max_steps=args.steps, threshold=args.threshold)
     decision, trajectory = amplifier.decide_sat(q2, params)
-    _write_csv(args.csv, "step,x", enumerate(trajectory.xs))
+    if args.csv is not None:
+        _write_csv(args.csv, "step,x", enumerate(trajectory.xs))
     _emit({"decision": decision, "first_crossing": trajectory.first_crossing})
     return EXIT_SAT if decision == "SAT" else EXIT_UNSAT
 
@@ -125,10 +124,12 @@ def cmd_amplify(args) -> int:
 def cmd_lindblad(args) -> int:
     gamma = complex(args.gamma_re, args.gamma_im)
     energies = lindblad.HamiltonianParams(args.e0, args.e1)
-    decision, classification, record = lindblad.discriminate(
+    decision, classification, trajectory = lindblad.discriminate(
         args.q, gamma, energies, t_final=args.t_final, dt=args.dt
     )
-    _write_csv(args.csv, "t,p1,abs_c", zip(record.times, record.p1, record.abs_c))
+    if args.csv is not None:  # the only reader of the trajectory's arrays
+        _write_csv(args.csv, "t,p1,abs_c",
+                   zip(trajectory.times, trajectory.p1, trajectory.abs_c))
     _emit({"classification": classification, "decision": decision})
     return 0
 
@@ -185,7 +186,7 @@ def cmd_solve(args) -> int:
             params = amplifier.params_for_instance(instance.n, a=args.a)
         else:
             params = amplifier.LogisticParams(a=args.a, max_steps=args.steps)
-    if args.engine in ("lindblad", "both"):  # the grid decide runs on, checked at any q
+    if args.engine in ("lindblad", "both"):  # the probe's check of gamma, at any q
         gamma = complex(args.gamma_re, args.gamma_im)
         lindblad.dissipative_grid(gamma)
     circuit = timed("compile", compiler.compile, instance)
@@ -206,7 +207,7 @@ def cmd_solve(args) -> int:
             report["lindblad"] = {"decision": "unsupported", "reason": "q = 1"}
         else:
             q = float(np.sqrt(probability))
-            decision, classification = timed("lindblad", lindblad.decide, q, gamma)
+            decision, classification, _ = timed("lindblad", lindblad.discriminate, q, gamma)
             report["lindblad"] = {
                 "decision": decision,
                 "classification": classification,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,30 +112,6 @@ class HamiltonianParams:
         return None if self.detuning == 0 else 2.0 * math.pi / abs(self.detuning)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    times: np.ndarray
-    p1: np.ndarray
-    coherence: np.ndarray  # complex upper off-diagonal entries
-
-    def __post_init__(self):
-        if len(self.times) == 0:
-            raise ValueError("empty trajectory")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def abs_c(self) -> np.ndarray:
-        return np.abs(self.coherence)
-
-    def blocks(self):
-        """The whole record as one (p1, coherence, |coherence|) block, as ``classify`` reads it."""
-        return ((self.p1, self.coherence, self.abs_c),)
-
-
 def generator_apply(rho: TwoLevelState, params: DissipativeParams) -> np.ndarray:
     """Time derivative of rho under the dissipative generator.
 
@@ -156,13 +133,13 @@ def _rhs(p1: float, c: complex, g: complex) -> tuple[float, complex]:
     return -2.0 * g.real * p1, (1j * g.imag - g.real) * c
 
 
-# the grid step of the dissipative probe unless a caller sets one
+# the grid step of evolve_dissipative and evolve_hamiltonian unless a caller sets one
 DEFAULT_DT = 1e-3
-# 1000x the default grid; a record of that size peaks at about 0.4 GiB of arrays
+# 1000x the default grid; a trajectory's arrays at that size take about 0.4 GiB
 MAX_GRID_POINTS = 10**7
 # classify's damping threshold, as a share of the signal's initial value
 DECAY_FLOOR = 0.01
-# grid points per block of the closed form: one block's arrays stay far below
+# grid points per block of a trajectory: one block's arrays stay far below
 # the allocator's mmap threshold, so a run maps and faults in no fresh pages
 BLOCK = 1024
 
@@ -193,22 +170,35 @@ def _invariants(p1_0: float, p1: np.ndarray, c: np.ndarray):
     return np.abs(p0 + p1 - 1.0), abs_c, 0.5 * (1.0 - np.sqrt((p0 - p1) ** 2 + 4.0 * abs_c**2))
 
 
-class _ClosedForm:
-    """The dissipative RK4 trajectory on its grid, evaluated one block at a time.
+class Trajectory:
+    """A run of either printed case on its grid of ``points`` steps of dt.
 
-    One RK4 step is x -> R(z) x (DissipativeParams.rk4_factors), so step k
-    is R^k x0.  Step s + j of the block that starts at s is R^s R^j, with
-    R^s and R^j read from two tables of powers: one per block start, and
-    one of BLOCK steps.
-    The grid is checked here; nothing is computed until ``blocks`` runs.
+    At grid point k, p1 and the coherence are each x0 R^k, with R the
+    component's one-step factor, held as its log w: R^k is exp(k w).
+    Point s + j of the block that starts at s is (x0 R^s) R^j, read from two
+    tables per component, built once on first use: x0 R^s per block start,
+    and R^j for the BLOCK steps of a block.  Nothing is evaluated until
+    ``blocks`` runs; the full arrays are built only when read.
     """
 
-    def __init__(self, rho0: TwoLevelState, gamma: complex, t_final, dt):
-        self.rho0 = rho0
-        self.points, self.dt, self.factors = dissipative_grid(gamma, t_final, dt)
+    def __init__(self, p1_0: float, c_0: complex, logs: tuple[float, complex],
+                 points: int, dt: float):
+        self.p1_0, self.c_0, self.logs = p1_0, c_0, logs
+        self.points, self.dt = points, dt
 
     def __len__(self) -> int:
         return self.points
+
+    def _at(self, k: np.ndarray, p1_0: float, c_0: complex):
+        """(p1_0 R^k, c_0 R^k) at the grid indices k."""
+        w_p1, w_c = self.logs
+        with np.errstate(over="ignore", invalid="ignore"):
+            return p1_0 * np.exp(k * w_p1), c_0 * np.exp(k * w_c)
+
+    @cached_property
+    def _tables(self):
+        return (*self._at(np.arange(0, self.points, BLOCK), self.p1_0, self.c_0),
+                *self._at(np.arange(min(self.points, BLOCK)), 1.0, 1.0))
 
     def blocks(self):
         """Yield (p1, coherence, |coherence|) per block, each checked before it is yielded.
@@ -217,23 +207,18 @@ class _ClosedForm:
         beyond tolerance (1e-9 / 1e-8), which for this linear 2x2 system
         indicates an integration bug rather than stiffness.
         """
-        r_p1, r_c = self.factors
-        p1_0, c_0 = self.rho0.p1, self.rho0.coherence
-        steps = np.arange(min(self.points, BLOCK))
-        starts = np.arange(0, self.points, BLOCK)
-        with np.errstate(over="ignore", invalid="ignore"):
-            table_p1, table_c = r_p1**steps, r_c**steps
-            start_p1, start_c = p1_0 * r_p1**starts, c_0 * r_c**starts
-        for b, s in enumerate(starts.tolist()):
+        start_p1, start_c, step_p1, step_c = self._tables
+        for b, s in enumerate(range(0, self.points, BLOCK)):
             size = min(BLOCK, self.points - s)
             with np.errstate(over="ignore", invalid="ignore"):
-                p1 = start_p1[b] * table_p1[:size]
-                c = start_c[b] * table_c[:size]
-                trace_drift, abs_c, min_eig = _invariants(p1_0, p1, c)
+                p1 = start_p1[b] * step_p1[:size]
+                c = start_c[b] * step_c[:size]
+                trace_drift, abs_c, min_eig = _invariants(self.p1_0, p1, c)
                 bad = np.flatnonzero((trace_drift > 1e-9) | (min_eig < -1e-8))
                 if bad.size:  # quote the point from R^k itself, not from the tables' product
                     k = s + bad[:1]
-                    trace_drift, _, min_eig = _invariants(p1_0, p1_0 * r_p1**k, c_0 * r_c**k)
+                    trace_drift, _, min_eig = _invariants(self.p1_0,
+                                                          *self._at(k, self.p1_0, self.c_0))
                     raise RuntimeError(
                         f"state invariant violated at t={float(k[0] * self.dt)}: "
                         f"trace drift {float(trace_drift[0])}, "
@@ -241,25 +226,45 @@ class _ClosedForm:
                     )
             yield p1, c, abs_c
 
-    def record(self) -> TrajectoryRecord:
+    @cached_property
+    def _arrays(self):
         p1 = np.empty(self.points)
         c = np.empty(self.points, dtype=np.complex128)
         for s, (p1_block, c_block, _) in zip(range(0, self.points, BLOCK), self.blocks()):
             p1[s:s + BLOCK], c[s:s + BLOCK] = p1_block, c_block
-        return TrajectoryRecord(np.arange(self.points) * self.dt, p1, c)
+        return p1, c
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return np.arange(self.points) * self.dt
+
+    @property
+    def p1(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def coherence(self) -> np.ndarray:
+        """The complex upper off-diagonal entries."""
+        return self._arrays[1]
+
+    @cached_property
+    def abs_c(self) -> np.ndarray:
+        return np.abs(self.coherence)
 
 
 def evolve_dissipative(
     rho0: TwoLevelState,
     params: DissipativeParams,
-    t_final: float,
-    dt: float = DEFAULT_DT,
-) -> TrajectoryRecord:
+    t_final: float | None,
+    dt: float | None = DEFAULT_DT,
+) -> Trajectory:
     """Fixed-step RK4 integration of the dissipative master equation, in closed form.
 
-    Aborts where trace or positivity drifts beyond 1e-9 / 1e-8, as
-    ``_ClosedForm.blocks`` does."""
-    return _ClosedForm(rho0, params.gamma, t_final, dt).record()
+    One RK4 step is x -> R(z) x (DissipativeParams.rk4_factors), so step k
+    is R(z)^k x0.  The grid, gamma and step are checked here, by
+    ``dissipative_grid``; trace and positivity as the trajectory is read."""
+    points, dt, (r_p1, r_c) = dissipative_grid(params.gamma, t_final, dt)
+    return Trajectory(rho0.p1, rho0.coherence, (math.log(r_p1), cmath.log(r_c)), points, dt)
 
 
 def hamiltonian_state_at(
@@ -275,19 +280,17 @@ def evolve_hamiltonian(
     rho0: TwoLevelState,
     params: HamiltonianParams,
     t_final: float,
-    dt: float = 1e-3,
-) -> TrajectoryRecord:
-    """Exact unitary evolution sampled on a fixed grid; populations constant."""
-    times = np.arange(_grid_points(t_final, dt)) * dt
-    delta = params.detuning
-    c0 = rho0.coherence
-    # rho(t)_{01} = c0 exp(-i ((E0+1) - E1) t)
-    cs = c0 * np.exp(-1j * delta * times)
-    p1s = np.full(times.shape, rho0.p1)
-    return TrajectoryRecord(times, p1s, cs)
+    dt: float = DEFAULT_DT,
+) -> Trajectory:
+    """Exact unitary evolution sampled on a fixed grid; populations constant.
+
+    rho(t)_{01} = c0 exp(-i ((E0+1) - E1) t), so one grid step multiplies
+    the coherence by exp(-i delta dt) and p1 by 1."""
+    points = _grid_points(t_final, dt)
+    return Trajectory(rho0.p1, rho0.coherence, (0.0, -1j * params.detuning * dt), points, dt)
 
 
-def classify(record: TrajectoryRecord) -> str:
+def classify(trajectory: Trajectory) -> str:
     """DAMPED, OSCILLATORY or STATIONARY.
 
     Damping: the signal p1 + |c| over the last half of the run stays below
@@ -296,13 +299,12 @@ def classify(record: TrajectoryRecord) -> str:
     within 1e-6 of it (periodic recurrence).  Anything else - including a
     signal that never moves - is stationary.
 
-    The record is read through ``len`` and ``blocks``, so the dissipative
-    closed form is classified one block at a time, and only a run that is
-    not damped is read a second time.
+    The trajectory is read through ``len`` and ``blocks``, one block at a
+    time, and only a run that is not damped is read a second time.
     """
-    half = len(record) // 2
+    half = len(trajectory) // 2
     start, late = 0, -math.inf
-    for p1, _, abs_c in record.blocks():
+    for p1, _, abs_c in trajectory.blocks():
         if start == 0:
             initial = p1[0] + abs_c[0]
         end = start + len(p1)
@@ -313,7 +315,7 @@ def classify(record: TrajectoryRecord) -> str:
     if initial > 0.0 and float(late) < DECAY_FLOOR * initial:
         return "DAMPED"
     origin, moved = None, False
-    for _, c, _ in record.blocks():
+    for _, c, _ in trajectory.blocks():
         if origin is None:
             origin = c[0]
         departure = np.abs(c - origin)
@@ -327,52 +329,29 @@ def classify(record: TrajectoryRecord) -> str:
     return "STATIONARY"
 
 
-def _trajectory(q, gamma, energies, t_final, dt):
-    """The printed case q selects, not yet evaluated in the dissipative case.
+def _trajectory(q, gamma, energies, t_final, dt) -> Trajectory:
+    """The printed case q selects, not yet evaluated.
 
     0 < q < 1 selects the dissipative case on the state built from q;
-    q = 0 selects the Hamiltonian case probed with the coherent |+> state.
-    q = 1 has no dissipative coupling term in either printed case and is
-    rejected.
+    q = 0 selects the Hamiltonian case probed with the coherent |+> state,
+    up to t_final (three periods unless given) in steps of dt (period / 1000
+    unless given).  gamma is checked at any q: at q = 0 on the dissipative
+    probe's default grid, as ``solve`` checks it.  q = 1 has no dissipative
+    coupling term in either printed case and is rejected.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     if q == 1.0:
         raise ValueError("q = 1 (alpha_0 = 0) is outside both dynamical cases")
     if q > 0.0:
-        return _ClosedForm(TwoLevelState.from_q(q), gamma, t_final, dt)
+        return evolve_dissipative(TwoLevelState.from_q(q), DissipativeParams(gamma), t_final, dt)
+    dissipative_grid(gamma)
     period = energies.period
     if period is None:
         raise ValueError("degenerate levels (E0 + 1 = E1) give no oscillation")
-    horizon = t_final if t_final is not None else 3.0 * period
-    return evolve_hamiltonian(TwoLevelState.plus(), energies, horizon, period / 1000.0)
-
-
-def _verdict(q: float, trajectory) -> tuple[str, str]:
-    verdict = classify(trajectory)
-    if q > 0.0 and verdict == "DAMPED":
-        return "q_nonzero", verdict
-    if q == 0.0 and verdict == "OSCILLATORY":
-        return "q_zero", verdict
-    raise ClassificationError(
-        f"trajectory classified {verdict}, inconsistent with q={q}"
-    )
-
-
-def decide(
-    q: float,
-    gamma: complex = 1.0 + 0.0j,
-    energies: HamiltonianParams = HamiltonianParams(0, 2),
-    t_final: float | None = None,
-    dt: float | None = None,
-) -> tuple[str, str]:
-    """(decision, classification) as ``discriminate`` returns them, without its record.
-
-    The dissipative case is evaluated and classified one block at a time,
-    so a run holds one block of arrays whatever its grid; a run that is
-    not damped is evaluated a second time to test for recurrence.
-    """
-    return _verdict(q, _trajectory(q, gamma, energies, t_final, dt))
+    return evolve_hamiltonian(TwoLevelState.plus(), energies,
+                              3.0 * period if t_final is None else t_final,
+                              period / 1000.0 if dt is None else dt)
 
 
 def discriminate(
@@ -381,13 +360,19 @@ def discriminate(
     energies: HamiltonianParams = HamiltonianParams(0, 2),
     t_final: float | None = None,
     dt: float | None = None,
-) -> tuple[str, str, TrajectoryRecord]:
+) -> tuple[str, str, Trajectory]:
     """Decide q_nonzero vs q_zero from the dynamical behavior.
 
-    Returns (decision, classification, record): the verdict of ``decide``,
-    and the trajectory it was reached on.
+    Returns (decision, classification, trajectory).  The trajectory is
+    classified one block at a time, so a run holds one block of arrays
+    whatever its grid until its arrays are read.
     """
-    record = _trajectory(q, gamma, energies, t_final, dt)
-    if isinstance(record, _ClosedForm):
-        record = record.record()
-    return (*_verdict(q, record), record)
+    trajectory = _trajectory(q, gamma, energies, t_final, dt)
+    verdict = classify(trajectory)
+    if q > 0.0 and verdict == "DAMPED":
+        return "q_nonzero", verdict, trajectory
+    if q == 0.0 and verdict == "OSCILLATORY":
+        return "q_zero", verdict, trajectory
+    raise ClassificationError(
+        f"trajectory classified {verdict}, inconsistent with q={q}"
+    )

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,17 @@ class TestLindblad:
     def test_q_one_is_error(self, capsys):
         code, _ = run(capsys, "lindblad", "--q", "1.0")
         assert code == cli.EXIT_ERROR
+
+    def test_holds_one_block_without_csv(self, capsys):
+        run(capsys, "lindblad", "--q", "0.5")
+        tracemalloc.start()
+        try:
+            code, payload = run(capsys, "lindblad", "--q", "0.5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, payload) == (0, {"classification": "DAMPED", "decision": "q_nonzero"})
+        assert peak < 256 * 2**10  # the 10 001-point arrays alone take 313 KiB
 
     def test_csv_values_are_plain_numbers(self, capsys, tmp_path):
         csv_path = tmp_path / "traj.csv"
@@ -648,6 +660,8 @@ class TestSolve:
         probe = capsys.readouterr()
         assert probe.out == "" and probe.err.startswith("error: ")
         assert probe.err.count("\n") == 1
+        assert cli.main(["lindblad", "--q", "0", gamma]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == probe
 
         def oracle(*args, **kwargs):
             pytest.fail("solve ran the oracle before refusing gamma")
@@ -714,10 +728,11 @@ class TestSolve:
             assert captured.err == f"error: n={n} exceeds brute-force limit 24\n"
 
     def test_probe_keeps_no_trajectory(self, capsys, monkeypatch, sat_file, unsat_file):
-        def discriminate(*args, **kwargs):
-            pytest.fail("solve built the probe's trajectory record")
+        def read(trajectory):
+            pytest.fail("solve read the probe's trajectory arrays")
 
-        monkeypatch.setattr(cli.lindblad, "discriminate", discriminate)
+        for name in ("times", "p1", "coherence", "abs_c"):
+            monkeypatch.setattr(cli.lindblad.Trajectory, name, property(read))
         code, payload = run(capsys, "solve", sat_file, "--engine", "lindblad")
         assert code == cli.EXIT_SAT
         assert payload["lindblad"] == {"decision": "q_nonzero", "classification": "DAMPED"}

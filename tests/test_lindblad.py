@@ -15,6 +15,8 @@ from chaossat.lindblad import (
     TwoLevelState,
 )
 
+BLOCK = lindblad.BLOCK
+
 
 class TestTwoLevelState:
     def test_from_q(self):
@@ -191,9 +193,9 @@ class TestEvolveDissipative:
         # dt = 2 gives z = -4 for p1 and R(-4) = 5: the step is refused at set-up,
         # and with its factors set by hand p1 grows past 1 on the first step
         def run():
-            lindblad.evolve_dissipative(
+            return lindblad.evolve_dissipative(
                 TwoLevelState.from_q(0.6), DissipativeParams(1.0), 10.0, dt=2.0
-            )
+            ).p1
 
         with pytest.raises(ValueError, match=r"^gamma 1\.0 with dt 2\.0 gives an unstable "
                                              r"RK4 step: \|R\(z\)\| = 5\.0 >= 1$"):
@@ -207,10 +209,11 @@ class TestEvolveDissipative:
         # outlasts the population, and the per-point check catches it at step 13
         factors = DissipativeParams(1 + 2j).rk4_factors(0.5)
         assert max(map(abs, factors)) < 1.0 < abs(factors[1]) ** 2 / factors[0]
+        trajectory = lindblad.evolve_dissipative(
+            TwoLevelState.from_q(0.5), DissipativeParams(1 + 2j), 10.0, dt=0.5
+        )
         with pytest.raises(RuntimeError, match=r"state invariant violated at t=6\.5:"):
-            lindblad.evolve_dissipative(
-                TwoLevelState.from_q(0.5), DissipativeParams(1 + 2j), 10.0, dt=0.5
-            )
+            trajectory.p1
 
     def test_monotone_population_decay(self):
         record = lindblad.evolve_dissipative(
@@ -251,12 +254,14 @@ class TestEvolveHamiltonian:
         assert np.ptp(record.p1) == 0.0
 
     def test_matches_matrix_conjugation(self):
+        # 2 * BLOCK + 1 points: both sides of each block edge, and the last point
         params = HamiltonianParams(1, 4)
         rho0 = TwoLevelState.plus()
-        record = lindblad.evolve_hamiltonian(rho0, params, 1.0, dt=0.25)
-        for t, c in zip(record.times, record.coherence):
-            full = lindblad.hamiltonian_state_at(rho0, params, t)
-            assert complex(full[0, 1]) == pytest.approx(c, abs=1e-12)
+        record = lindblad.evolve_hamiltonian(rho0, params, 2 * BLOCK * 0.25, dt=0.25)
+        assert len(record.times) == 2 * BLOCK + 1
+        for k in (0, BLOCK - 1, BLOCK, 2 * BLOCK, len(record.times) - 1):
+            full = lindblad.hamiltonian_state_at(rho0, params, record.times[k])
+            assert complex(full[0, 1]) == pytest.approx(record.coherence[k], abs=1e-12)
 
     def test_coherence_magnitude_constant(self):
         record = lindblad.evolve_hamiltonian(
@@ -305,6 +310,18 @@ class TestDiscriminate:
         assert decision == "q_zero"
         assert verdict == "OSCILLATORY"
 
+    def test_zero_q_steps_by_the_given_dt_and_checks_gamma(self):
+        # a tenth of a period recurs after ten steps; 0.37 does not return to its
+        # start within three periods
+        period = HamiltonianParams(0, 2).period
+        decision, verdict, trajectory = lindblad.discriminate(0.0, dt=period / 10)
+        assert (decision, verdict) == ("q_zero", "OSCILLATORY")
+        assert (len(trajectory), trajectory.dt) == (31, period / 10)
+        with pytest.raises(ClassificationError, match="^trajectory classified STATIONARY"):
+            lindblad.discriminate(0.0, dt=0.37)
+        with pytest.raises(ValueError, match=r"^Re gamma must be positive, got \(-1\+0j\)$"):
+            lindblad.discriminate(0.0, gamma=-1.0 + 0j)
+
     def test_complex_gamma(self):
         decision, verdict, _ = lindblad.discriminate(0.25, gamma=1.0 + 3.0j)
         assert (decision, verdict) == ("q_nonzero", "DAMPED")
@@ -334,7 +351,17 @@ def outcome(func):
         return type(exc), str(exc)
 
 
-BLOCK = lindblad.BLOCK
+def probe(q, gamma, t_final, dt):
+    """discriminate's outcome, and the outcome of reading every block of its trajectory:
+    one row each of p1, coherence and |coherence| over the whole grid."""
+    def values():
+        trajectory = lindblad._trajectory(q, gamma, HamiltonianParams(0, 2), t_final, dt)
+        return np.stack([np.concatenate(column) for column in zip(*trajectory.blocks())])
+
+    return (outcome(lambda: lindblad.discriminate(q, gamma, t_final=t_final, dt=dt)[:2]),
+            outcome(values))
+
+
 # (q, gamma, dt): an unstable coherence step (|R(z)| = 1.0089, refused unless its
 # factors are set by hand) whose invariant first fails at step 2729
 THIRD_BLOCK_FAILURE = (5.48928633130162e-06, 3.1574590510901506 + 1.8566128185864148j,
@@ -363,30 +390,40 @@ class TestDecide:
              im=THIRD_BLOCK_FAILURE[1].imag, points=4096, dt=THIRD_BLOCK_FAILURE[2],
              default_horizon=False)
     @example(q=0.0, re=1.0, im=0.0, points=2, dt=1e-3, default_horizon=True)
+    # q = 0 over three blocks, recurring after 1000 steps of period / 1000
+    @example(q=0.0, re=1.0, im=0.0, points=2 * BLOCK + 1, dt=2 * math.pi / 1000,
+             default_horizon=False)
     def test_matches_discriminate(self, q, re, im, points, dt, default_horizon):
+        # the same run again with BLOCK past its number of points, read as one block
         t_final = None if default_horizon else (points - 1) * dt
         gamma = complex(re, im)
-        expected = outcome(lambda: lindblad.discriminate(q, gamma, t_final=t_final, dt=dt)[:2])
-        assert outcome(lambda: lindblad.decide(q, gamma, t_final=t_final, dt=dt)) == expected
+        verdict, values = probe(q, gamma, t_final, dt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lindblad, "BLOCK", lindblad.MAX_GRID_POINTS)
+            one_verdict, one_values = probe(q, gamma, t_final, dt)
+        assert verdict == one_verdict
+        if isinstance(one_values, np.ndarray):
+            # point s + j of a block is (x0 R^s) R^j, a rounding away from x0 R^(s + j)
+            np.testing.assert_allclose(values, one_values, rtol=1e-12, atol=1e-300)
+        else:
+            assert values == one_values
 
     def test_invariant_failure_past_the_first_block(self, monkeypatch):
-        # the blocks take R^k from two tables, whose product reads the eigenvalue
-        # as -0.007643985161585931 here; the error quotes R^k itself
+        # the error quotes the failing point from x0 R^k itself, not from the
+        # product of the blocks' two tables
         monkeypatch.setattr(DissipativeParams, "rk4_factors", unchecked_factors)
         q, gamma, dt = THIRD_BLOCK_FAILURE
-        message = ("state invariant violated at t=1206.2143534878082: "
-                   "trace drift 0.0, min eigenvalue -0.007643985161585709")
-        for probe in (lindblad.decide, lindblad.discriminate):
-            with pytest.raises(RuntimeError) as info:
-                probe(q, gamma, t_final=4095 * dt, dt=dt)
-            assert str(info.value) == message
+        with pytest.raises(RuntimeError) as info:
+            lindblad.discriminate(q, gamma, t_final=4095 * dt, dt=dt)
+        assert str(info.value) == ("state invariant violated at t=1206.2143534878082: "
+                                   "trace drift 0.0, min eigenvalue -0.007643985161585265")
 
     def test_holds_one_block(self):
-        lindblad.decide(0.3)
+        lindblad.discriminate(0.3)
         tracemalloc.start()
         try:
-            assert lindblad.decide(0.3) == ("q_nonzero", "DAMPED")
+            assert lindblad.discriminate(0.3)[:2] == ("q_nonzero", "DAMPED")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2**10  # the 10 001-point record alone takes 313 KiB
+        assert peak < 256 * 2**10  # the 10 001-point arrays alone take 313 KiB
