@@ -6,6 +6,11 @@ x -> a x (1-x) at a = 3.71 pushes any nonzero q^2 above 1/2 within 2n
 steps while leaving q^2 = 0 pinned at the fixed point, so the threshold
 crossing is a one-sided exact SAT test.  iterate_oracle reruns the map
 in exact integer fixed point to certify that crossing.
+
+For x <= 1/2, (a/2) x <= a x (1 - x) <= a x, so with a > 2 the first crossing
+m of x_0 <= 1/2 has a^m x_0 > 1/2 >= (a/2)^(m-1) x_0.  The paper's
+m_0 > (n - 1)/(log2 a - 1) is that window's upper end at x_0 = 2^-n: enough
+steps for every r >= 1, not a lower bound on m.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 A nonzero success amplitude q selects dissipative dynamics with jump
 operator D = |e0><e1| (populations and coherence decay exponentially);
-q = 0 selects a purely Hamiltonian evolution with integer levels, which
-is exactly periodic.  Watching whether the trajectory damps or recurs
-therefore distinguishes q > 0 from q = 0.
+q = 0 selects a purely Hamiltonian evolution with integer levels, whose
+coherence turns by a fixed angle per step.  Watching whether the trajectory
+damps or rotates therefore distinguishes q > 0 from q = 0.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,7 +177,7 @@ class Trajectory:
     At grid point k, p1 and the coherence are each x0 R^k, with R the
     component's one-step factor, held as its log w: R^k is exp(k w).
     Point s + j of the block that starts at s is (x0 R^s) R^j, read from two
-    tables per component, built once on first use: x0 R^s per block start,
+    tables per component that ``blocks`` builds: x0 R^s per block start,
     and R^j for the BLOCK steps of a block.  Nothing is evaluated until
     ``blocks`` runs; the full arrays are built only when read.
     """
@@ -195,11 +196,6 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             return p1_0 * np.exp(k * w_p1), c_0 * np.exp(k * w_c)
 
-    @cached_property
-    def _tables(self):
-        return (*self._at(np.arange(0, self.points, BLOCK), self.p1_0, self.c_0),
-                *self._at(np.arange(min(self.points, BLOCK)), 1.0, 1.0))
-
     def blocks(self):
         """Yield (p1, coherence, |coherence|) per block, each checked before it is yielded.
 
@@ -207,7 +203,8 @@ class Trajectory:
         beyond tolerance (1e-9 / 1e-8), which for this linear 2x2 system
         indicates an integration bug rather than stiffness.
         """
-        start_p1, start_c, step_p1, step_c = self._tables
+        start_p1, start_c = self._at(np.arange(0, self.points, BLOCK), self.p1_0, self.c_0)
+        step_p1, step_c = self._at(np.arange(min(self.points, BLOCK)), 1.0, 1.0)
         for b, s in enumerate(range(0, self.points, BLOCK)):
             size = min(BLOCK, self.points - s)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -252,8 +249,12 @@ class Trajectory:
         return np.abs(self.coherence)
 
 
+# a probe's initial p1 and coherence: all that evolve_* read of a state
+_Start = NamedTuple("_Start", [("p1", float), ("coherence", complex)])
+
+
 def evolve_dissipative(
-    rho0: TwoLevelState,
+    rho0: TwoLevelState | _Start,
     params: DissipativeParams,
     t_final: float | None,
     dt: float | None = DEFAULT_DT,
@@ -277,7 +278,7 @@ def hamiltonian_state_at(
 
 
 def evolve_hamiltonian(
-    rho0: TwoLevelState,
+    rho0: TwoLevelState | _Start,
     params: HamiltonianParams,
     t_final: float,
     dt: float = DEFAULT_DT,
@@ -293,15 +294,18 @@ def evolve_hamiltonian(
 def classify(trajectory: Trajectory) -> str:
     """DAMPED, OSCILLATORY or STATIONARY.
 
-    Damping: the signal p1 + |c| over the last half of the run stays below
-    DECAY_FLOOR times its initial value.  Oscillation: the complex
-    coherence leaves its initial value by more than 1e-6 and later returns
-    within 1e-6 of it (periodic recurrence).  Anything else - including a
-    signal that never moves - is stationary.
-
-    The trajectory is read through ``len`` and ``blocks``, one block at a
-    time, and only a run that is not damped is read a second time.
+    A pure rotation (p1 fixed, the coherence turned by theta per step, as
+    ``evolve_hamiltonian`` builds) is OSCILLATORY when c0 != 0, 0 < |theta| < pi
+    (the grid samples it) and (points - 1) |theta| >= 2 pi (a period is covered);
+    no block is read.  Any other run is DAMPED when its signal p1 + |c| over the
+    last half stays below DECAY_FLOOR times its initial value, read block by
+    block.  Anything else is STATIONARY.
     """
+    w_p1, w_c = trajectory.logs
+    if w_p1 == 0.0 and w_c.real == 0.0:
+        theta = abs(w_c.imag)
+        recurs = 0.0 < theta < math.pi and (len(trajectory) - 1) * theta >= 2.0 * math.pi
+        return "OSCILLATORY" if trajectory.c_0 != 0.0 and recurs else "STATIONARY"
     half = len(trajectory) // 2
     start, late = 0, -math.inf
     for p1, _, abs_c in trajectory.blocks():
@@ -312,21 +316,7 @@ def classify(trajectory: Trajectory) -> str:
             skip = max(half - start, 0)
             late = np.maximum(late, (p1[skip:] + abs_c[skip:]).max())  # NaN propagates
         start = end
-    if initial > 0.0 and float(late) < DECAY_FLOOR * initial:
-        return "DAMPED"
-    origin, moved = None, False
-    for _, c, _ in trajectory.blocks():
-        if origin is None:
-            origin = c[0]
-        departure = np.abs(c - origin)
-        if not moved:
-            left = np.flatnonzero(departure > 1e-6)
-            if not left.size:
-                continue
-            moved, departure = True, departure[left[0]:]
-        if np.any(departure < 1e-6):
-            return "OSCILLATORY"
-    return "STATIONARY"
+    return "DAMPED" if initial > 0.0 and float(late) < DECAY_FLOOR * initial else "STATIONARY"
 
 
 def _trajectory(q, gamma, energies, t_final, dt) -> Trajectory:
@@ -343,13 +333,17 @@ def _trajectory(q, gamma, energies, t_final, dt) -> Trajectory:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     if q == 1.0:
         raise ValueError("q = 1 (alpha_0 = 0) is outside both dynamical cases")
+    # from_q(q), or plus() at q = 0, read with DensityMatrix.pure's float operations
+    v = np.array([math.sqrt(1.0 - q * q), q] if q > 0.0 else [1.0, 1.0], dtype=np.complex128)
+    v = v / np.linalg.norm(v)
+    start = _Start(float((v[1] * v[1].conj()).real), complex(v[0] * v[1].conj()))
     if q > 0.0:
-        return evolve_dissipative(TwoLevelState.from_q(q), DissipativeParams(gamma), t_final, dt)
+        return evolve_dissipative(start, DissipativeParams(gamma), t_final, dt)
     dissipative_grid(gamma)
     period = energies.period
     if period is None:
         raise ValueError("degenerate levels (E0 + 1 = E1) give no oscillation")
-    return evolve_hamiltonian(TwoLevelState.plus(), energies,
+    return evolve_hamiltonian(start, energies,
                               3.0 * period if t_final is None else t_final,
                               period / 1000.0 if dt is None else dt)
 

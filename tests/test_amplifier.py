@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -128,6 +129,44 @@ class TestIterateOracle:
         assert trajectory.xs == tuple(x_int / 2**bits for x_int in ints)
         if not near:  # no exact iterate within the bound of 1/2: the crossing is certain
             assert trajectory.first_crossing == crossing
+
+
+def first_crossing(r, n, a, steps):
+    """The first m <= steps with X_m > 2^bits / 2 on integer_iterates from r / 2^n, or None."""
+    bits = 64 + 2 * steps
+    iterates = amplifier.integer_iterates(Fraction(r, 2**n), a, bits)
+    return next((m for m, x in zip(range(steps + 1), iterates) if 2 * x > 1 << bits), None)
+
+
+def assert_in_window(r, n, a):
+    """For x <= 1/2, (a/2) x <= a x (1 - x) <= a x, so the first crossing m has
+    a^m x0 > 1/2 and, past step 0, (a/2)^(m-1) x0 <= 1/2: checked in integers."""
+    num, den = a.numerator, a.denominator
+    enough = 0  # the paper's m0: the fewest steps with (a/2)^m0 x0 > 1/2
+    while 2 * r * num**enough <= 2**n * (2 * den) ** enough:
+        enough += 1
+    m = first_crossing(r, n, a, enough)
+    assert m is not None, (r, n, a)
+    assert 2 * r * num**m > 2**n * den**m, (r, n, a, m)
+    assert m == 0 or 2 * r * num ** (m - 1) <= 2**n * (2 * den) ** (m - 1), (r, n, a, m)
+
+
+class TestStepWindow:
+    def test_default_map_for_every_width(self):
+        # r = 2^n starts above 1/2 (m = 0), r = 2^(n-1) exactly on it
+        a = Fraction(371, 100)
+        for n in range(1, 25):
+            sampled = random.Random(n).sample(range(1, 2**n + 1), min(2**n, 20))
+            for r in {r for r in (1, 2, 3, 2 ** (n - 1), 2**n, *sampled) if r <= 2**n}:
+                assert_in_window(r, n, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_rational_map_above_two(self, data):
+        den = data.draw(st.integers(1, 100), label="den")
+        a = Fraction(data.draw(st.integers(2 * den + 1, 4 * den), label="num"), den)
+        n = data.draw(st.integers(1, 24), label="n")
+        assert_in_window(data.draw(st.integers(1, 2**n), label="r"), n, a)
 
 
 class TestSweeps:

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chaossat
@@ -345,6 +346,34 @@ class TestLindblad:
         assert rows
         for row in rows:
             assert len([float(token) for token in row.split(",")]) == 3
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(e0=st.integers(-3, 3), gap=st.integers(2, 6), dt=st.floats(1e-3, 4.0),
+           t_final=st.floats(1e-3, 60.0))
+    @example(e0=0, gap=2, dt=0.001, t_final=3 * 2 * math.pi)  # DEFAULT_DT
+    @example(e0=0, gap=2, dt=0.37, t_final=3 * 2 * math.pi)
+    @example(e0=0, gap=2, dt=math.pi, t_final=10.0)  # two samples a period
+    @example(e0=0, gap=2, dt=0.5, t_final=6.0)  # 12 steps of 0.5 fall short of 2 pi
+    @example(e0=0, gap=2, dt=0.5, t_final=6.5)
+    def test_zero_q_oscillates_exactly_when_the_grid_samples_a_period(
+            self, capsys, e0, gap, dt, t_final):
+        # the coherence turns by theta = |(E0 + 1) - E1| dt per step, and the grid
+        # has round(t_final / dt) steps
+        theta = abs((e0 + 1 - (e0 + gap)) * dt)
+        steps = round(t_final / dt)
+        argv = ["lindblad", "--q", "0", "--e0", str(e0), "--e1", str(e0 + gap),
+                "--dt", repr(dt), "--t-final", repr(t_final)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        if 0.0 < theta < math.pi and steps * theta >= 2.0 * math.pi:
+            assert (code, captured.err) == (0, "")
+            assert json.loads(captured.out) == {"classification": "OSCILLATORY",
+                                                "decision": "q_zero"}
+        else:
+            assert (code, captured.out) == (cli.EXIT_ERROR, "")
+            assert captured.err == ("error: trajectory classified STATIONARY, "
+                                    "inconsistent with q=0.0\n")
 
     @pytest.mark.parametrize("grid", [("--t-final", "1e308"), ("--dt", "1e-9")])
     def test_oversized_grid_is_clean_exit(self, capsys, grid):
@@ -736,6 +765,8 @@ class TestSolve:
         code, payload = run(capsys, "solve", sat_file, "--engine", "lindblad")
         assert code == cli.EXIT_SAT
         assert payload["lindblad"] == {"decision": "q_nonzero", "classification": "DAMPED"}
+        # q = 0 is decided from the rotation angle: no grid point is evaluated
+        monkeypatch.setattr(cli.lindblad.Trajectory, "blocks", read)
         code, payload = run(capsys, "solve", unsat_file, "--engine", "lindblad")
         assert code == cli.EXIT_UNSAT
         assert payload["lindblad"] == {"decision": "q_zero", "classification": "OSCILLATORY"}

@@ -284,6 +284,16 @@ class TestClassify:
         )
         assert lindblad.classify(record) == "OSCILLATORY"
 
+    @pytest.mark.parametrize("c0, theta, points, verdict", [
+        (0.5, 2 * math.pi / 1000, 1001, "OSCILLATORY"),  # one period, sampled 1000 times
+        (0.5, 2 * math.pi / 1000, 1000, "STATIONARY"),   # one step short of a period
+        (0.5, 0.0, 101, "STATIONARY"),                   # degenerate levels never turn
+        (0.0, 2 * math.pi / 1000, 3001, "STATIONARY"),   # no coherence to turn
+    ])
+    def test_rotation_rule(self, c0, theta, points, verdict):
+        trajectory = lindblad.Trajectory(0.5, c0, (0.0, -1j * theta), points, 1.0)
+        assert lindblad.classify(trajectory) == verdict
+
     def test_stationary_ground_state(self):
         record = lindblad.evolve_dissipative(
             TwoLevelState(np.diag([1.0, 0.0])), DissipativeParams(1.0), 2.0
@@ -311,14 +321,17 @@ class TestDiscriminate:
         assert verdict == "OSCILLATORY"
 
     def test_zero_q_steps_by_the_given_dt_and_checks_gamma(self):
-        # a tenth of a period recurs after ten steps; 0.37 does not return to its
-        # start within three periods
+        # a tenth of a period and 0.37, which does not divide the period, both
+        # sample the rotation; 3.2, more than half a period, does not
         period = HamiltonianParams(0, 2).period
         decision, verdict, trajectory = lindblad.discriminate(0.0, dt=period / 10)
         assert (decision, verdict) == ("q_zero", "OSCILLATORY")
         assert (len(trajectory), trajectory.dt) == (31, period / 10)
+        decision, verdict, trajectory = lindblad.discriminate(0.0, dt=0.37)
+        assert (decision, verdict) == ("q_zero", "OSCILLATORY")
+        assert len(trajectory) == 52
         with pytest.raises(ClassificationError, match="^trajectory classified STATIONARY"):
-            lindblad.discriminate(0.0, dt=0.37)
+            lindblad.discriminate(0.0, dt=3.2)
         with pytest.raises(ValueError, match=r"^Re gamma must be positive, got \(-1\+0j\)$"):
             lindblad.discriminate(0.0, gamma=-1.0 + 0j)
 
@@ -341,6 +354,27 @@ class TestDiscriminate:
     def test_short_horizon_raises(self):
         with pytest.raises(ClassificationError):
             lindblad.discriminate(0.5, t_final=0.05)
+
+
+class TestProbeStart:
+    def test_builds_no_density_matrix(self, monkeypatch):
+        def built(self):
+            pytest.fail("the probe built a density matrix")
+
+        monkeypatch.setattr(entropy.DensityMatrix, "__post_init__", built)
+        assert lindblad.discriminate(0.3)[:2] == ("q_nonzero", "DAMPED")
+        assert lindblad.discriminate(0.0)[:2] == ("q_zero", "OSCILLATORY")
+
+    @settings(max_examples=500, deadline=None)
+    @given(q=st.floats(0.0, 1.0, exclude_max=True))
+    @example(q=0.0)
+    @example(q=5e-324)
+    @example(q=math.nextafter(1.0, 0.0))
+    def test_is_from_q_bit_for_bit(self, q):
+        # q = 0 starts from |+>; repr tells -0.0 from 0.0
+        trajectory = lindblad._trajectory(q, 1.0, HamiltonianParams(0, 2), None, None)
+        rho = TwoLevelState.from_q(q) if q > 0.0 else TwoLevelState.plus()
+        assert repr((trajectory.p1_0, trajectory.c_0)) == repr((rho.p1, rho.coherence))
 
 
 def outcome(func):
@@ -427,3 +461,62 @@ class TestDecide:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**10  # the 10 001-point arrays alone take 313 KiB
+
+
+def two_pass_classify(trajectory):
+    """The recurrence-scanning classify, kept as a reference: the damping pass, then a
+    second pass over the blocks that calls a run OSCILLATORY when its coherence leaves
+    its start by more than 1e-6 and comes back within 1e-6."""
+    half = len(trajectory) // 2
+    start, late = 0, -math.inf
+    for p1, _, abs_c in trajectory.blocks():
+        if start == 0:
+            initial = p1[0] + abs_c[0]
+        end = start + len(p1)
+        if end > half:
+            skip = max(half - start, 0)
+            late = np.maximum(late, (p1[skip:] + abs_c[skip:]).max())
+        start = end
+    if initial > 0.0 and float(late) < lindblad.DECAY_FLOOR * initial:
+        return "DAMPED"
+    origin, moved = None, False
+    for _, c, _ in trajectory.blocks():
+        if origin is None:
+            origin = c[0]
+        departure = np.abs(c - origin)
+        if not moved:
+            left = np.flatnonzero(departure > 1e-6)
+            if not left.size:
+                continue
+            moved, departure = True, departure[left[0]:]
+        if np.any(departure < 1e-6):
+            return "OSCILLATORY"
+    return "STATIONARY"
+
+
+class TestDampingPass:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        re=st.floats(0.01, 5.0),
+        im=st.floats(-50.0, 50.0),
+        points=st.integers(2, 4 * BLOCK + 1),
+        dt=st.floats(1e-3, 0.5),
+    )
+    # |c0| just under 1e-6 turns away and back within the horizon, too slowly
+    # damped to be DAMPED: the second pass called it OSCILLATORY
+    @example(q=9e-7, re=0.05, im=5.0, points=2001, dt=1e-3)
+    # |R_c|^2 > R_p1: both passes fail on the same point
+    @example(q=0.5, re=1.0, im=2.0, points=21, dt=0.5)
+    @example(q=0.5, re=1.0, im=0.0, points=101, dt=1e-3)
+    def test_matches_the_two_pass_reference(self, q, re, im, points, dt):
+        # a dissipative run keeps its verdict, or its error, except OSCILLATORY,
+        # which only a rotation can now be
+        def verdict(classify):
+            return outcome(lambda: classify(lindblad.evolve_dissipative(
+                TwoLevelState.from_q(q), DissipativeParams(complex(re, im)),
+                (points - 1) * dt, dt)))
+
+        expected = verdict(two_pass_classify)
+        assert verdict(lindblad.classify) == ("STATIONARY" if expected == "OSCILLATORY"
+                                              else expected)
