@@ -50,10 +50,10 @@ def _parse_q2(text: str) -> float:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    """Write a trajectory to --csv PATH; stdout holds only the JSON report."""
-    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    """Write a trajectory to --csv PATH row by row; stdout holds only the JSON report."""
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(header + "\n")
+        handle.writelines(",".join(str(v) for v in row) + "\n" for row in rows)
 
 
 def cmd_oracle(args) -> int:
@@ -96,8 +96,7 @@ def cmd_simulate(args) -> int:
     circuit = compiler.compile(instance)
     layout = circuit.layout
     if args.dump_amplitudes and layout.total > 12:
-        print("amplitude dump capped at width 12", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("amplitude dump capped at width 12")
     probability, r = simulator.row_probability(circuit.sequence)
     payload = {
         "probability": probability,

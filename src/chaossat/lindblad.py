@@ -136,12 +136,13 @@ def _rhs(p1: float, c: complex, g: complex) -> tuple[float, complex]:
 
 # the grid step of evolve_dissipative and evolve_hamiltonian unless a caller sets one
 DEFAULT_DT = 1e-3
-# 1000x the default grid; a trajectory's arrays at that size take about 0.4 GiB
+# 1000x the default grid; `lindblad --csv` on 10^6 points peaks at about 90 MiB
+# (30 MiB without --csv), and its arrays grow linearly with the grid
 MAX_GRID_POINTS = 10**7
 # classify's damping threshold, as a share of the signal's initial value
 DECAY_FLOOR = 0.01
-# grid points per block of a trajectory: one block's arrays stay far below
-# the allocator's mmap threshold, so a run maps and faults in no fresh pages
+# grid points per block of the positivity check: one block's arrays stay far
+# below the allocator's mmap threshold, so a check maps and faults in no fresh pages
 BLOCK = 1024
 
 
@@ -157,18 +158,19 @@ def _grid_points(t_final: float, dt: float) -> int:
 
 def dissipative_grid(gamma: complex, t_final: float | None = None, dt: float | None = None):
     """(grid points, dt, RK4 factors) of the dissipative probe: each of its refusals of
-    gamma, grid and step.  t_final defaults to 10 / Re gamma, dt to DEFAULT_DT."""
+    gamma, grid and step.  t_final defaults to 10 / Re gamma, and dt to DEFAULT_DT or
+    a thousandth of that horizon, whichever is shorter, so a large Re gamma still
+    gets the 1000 steps it needs to damp."""
     params = DissipativeParams(gamma)
-    dt = DEFAULT_DT if dt is None else dt
     horizon = 10.0 / complex(gamma).real if t_final is None else t_final
+    dt = min(DEFAULT_DT, horizon / 1000.0) if dt is None else dt
     return _grid_points(horizon, dt), dt, params.rk4_factors(dt)
 
 
-def _invariants(p1_0: float, p1: np.ndarray, c: np.ndarray):
-    """Trace drift, |c| and the lower eigenvalue of the states (p1, c) reached from p1_0."""
-    p0 = (1.0 - p1_0) - (p1 - p1_0)  # p0 loses what p1 gains
-    abs_c = np.abs(c)
-    return np.abs(p0 + p1 - 1.0), abs_c, 0.5 * (1.0 - np.sqrt((p0 - p1) ** 2 + 4.0 * abs_c**2))
+def _min_eigenvalue(p1_0: float, p1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The lower eigenvalue of the states (p1, c) reached from p1_0."""
+    p0 = (1.0 - p1_0) - (p1 - p1_0)  # p0 loses what p1 gains, so the trace stays 1
+    return 0.5 * (1.0 - np.sqrt((p0 - p1) ** 2 + 4.0 * np.abs(c) ** 2))
 
 
 class Trajectory:
@@ -176,16 +178,15 @@ class Trajectory:
 
     At grid point k, p1 and the coherence are each x0 R^k, with R the
     component's one-step factor, held as its log w: R^k is exp(k w).
-    Point s + j of the block that starts at s is (x0 R^s) R^j, read from two
-    tables per component that ``blocks`` builds: x0 R^s per block start,
-    and R^j for the BLOCK steps of a block.  Nothing is evaluated until
-    ``blocks`` runs; the full arrays are built only when read.
+    Nothing is evaluated until ``check`` runs; the full arrays are built
+    only when read.
     """
 
     def __init__(self, p1_0: float, c_0: complex, logs: tuple[float, complex],
                  points: int, dt: float):
         self.p1_0, self.c_0, self.logs = p1_0, c_0, logs
         self.points, self.dt = points, dt
+        self._checked = False
 
     def __len__(self) -> int:
         return self.points
@@ -196,40 +197,36 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             return p1_0 * np.exp(k * w_p1), c_0 * np.exp(k * w_c)
 
-    def blocks(self):
-        """Yield (p1, coherence, |coherence|) per block, each checked before it is yielded.
+    def check(self) -> None:
+        """Check positivity at every grid point, once per trajectory.
 
-        Aborts at the first grid point where trace or positivity drifts
-        beyond tolerance (1e-9 / 1e-8), which for this linear 2x2 system
-        indicates an integration bug rather than stiffness.
+        Raises at the first point whose lower eigenvalue is below -1e-8, which
+        for this linear 2x2 system indicates an integration bug rather than
+        stiffness.  Point s + j of the block that starts at s is read as
+        (x0 R^s) R^j, from one table of block starts and one of the BLOCK
+        steps of a block, so the check holds one block of arrays at a time.
         """
+        if self._checked:
+            return
         start_p1, start_c = self._at(np.arange(0, self.points, BLOCK), self.p1_0, self.c_0)
         step_p1, step_c = self._at(np.arange(min(self.points, BLOCK)), 1.0, 1.0)
         for b, s in enumerate(range(0, self.points, BLOCK)):
             size = min(BLOCK, self.points - s)
             with np.errstate(over="ignore", invalid="ignore"):
-                p1 = start_p1[b] * step_p1[:size]
-                c = start_c[b] * step_c[:size]
-                trace_drift, abs_c, min_eig = _invariants(self.p1_0, p1, c)
-                bad = np.flatnonzero((trace_drift > 1e-9) | (min_eig < -1e-8))
+                bad = np.flatnonzero(_min_eigenvalue(
+                    self.p1_0, start_p1[b] * step_p1[:size], start_c[b] * step_c[:size]
+                ) < -1e-8)
                 if bad.size:  # quote the point from R^k itself, not from the tables' product
                     k = s + bad[:1]
-                    trace_drift, _, min_eig = _invariants(self.p1_0,
-                                                          *self._at(k, self.p1_0, self.c_0))
-                    raise RuntimeError(
-                        f"state invariant violated at t={float(k[0] * self.dt)}: "
-                        f"trace drift {float(trace_drift[0])}, "
-                        f"min eigenvalue {float(min_eig[0])}"
-                    )
-            yield p1, c, abs_c
+                    min_eig = _min_eigenvalue(self.p1_0, *self._at(k, self.p1_0, self.c_0))
+                    raise RuntimeError(f"state invariant violated at t={float(k[0] * self.dt)}: "
+                                       f"min eigenvalue {float(min_eig[0])}")
+        self._checked = True
 
     @cached_property
     def _arrays(self):
-        p1 = np.empty(self.points)
-        c = np.empty(self.points, dtype=np.complex128)
-        for s, (p1_block, c_block, _) in zip(range(0, self.points, BLOCK), self.blocks()):
-            p1[s:s + BLOCK], c[s:s + BLOCK] = p1_block, c_block
-        return p1, c
+        self.check()
+        return self._at(np.arange(self.points), self.p1_0, self.c_0)
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -263,7 +260,7 @@ def evolve_dissipative(
 
     One RK4 step is x -> R(z) x (DissipativeParams.rk4_factors), so step k
     is R(z)^k x0.  The grid, gamma and step are checked here, by
-    ``dissipative_grid``; trace and positivity as the trajectory is read."""
+    ``dissipative_grid``; positivity before the trajectory is read."""
     points, dt, (r_p1, r_c) = dissipative_grid(params.gamma, t_final, dt)
     return Trajectory(rho0.p1, rho0.coherence, (math.log(r_p1), cmath.log(r_c)), points, dt)
 
@@ -292,31 +289,26 @@ def evolve_hamiltonian(
 
 
 def classify(trajectory: Trajectory) -> str:
-    """DAMPED, OSCILLATORY or STATIONARY.
+    """DAMPED, OSCILLATORY or STATIONARY, with no grid point evaluated.
 
     A pure rotation (p1 fixed, the coherence turned by theta per step, as
     ``evolve_hamiltonian`` builds) is OSCILLATORY when c0 != 0, 0 < |theta| < pi
-    (the grid samples it) and (points - 1) |theta| >= 2 pi (a period is covered);
-    no block is read.  Any other run is DAMPED when its signal p1 + |c| over the
-    last half stays below DECAY_FLOOR times its initial value, read block by
-    block.  Anything else is STATIONARY.
+    (the grid samples it) and (points - 1) |theta| >= 2 pi (a period is covered).
+    Any other run is checked (``Trajectory.check``), and is DAMPED when its
+    signal p1 + |c| over the last half stays below DECAY_FLOOR times its initial
+    value.  Both components shrink by a fixed factor per step, so the largest
+    late signal is the one at h = points // 2: p1_0 |R_p1|^h + |c0| |R_c|^h.
+    Anything else is STATIONARY.
     """
     w_p1, w_c = trajectory.logs
     if w_p1 == 0.0 and w_c.real == 0.0:
         theta = abs(w_c.imag)
         recurs = 0.0 < theta < math.pi and (len(trajectory) - 1) * theta >= 2.0 * math.pi
         return "OSCILLATORY" if trajectory.c_0 != 0.0 and recurs else "STATIONARY"
-    half = len(trajectory) // 2
-    start, late = 0, -math.inf
-    for p1, _, abs_c in trajectory.blocks():
-        if start == 0:
-            initial = p1[0] + abs_c[0]
-        end = start + len(p1)
-        if end > half:
-            skip = max(half - start, 0)
-            late = np.maximum(late, (p1[skip:] + abs_c[skip:]).max())  # NaN propagates
-        start = end
-    return "DAMPED" if initial > 0.0 and float(late) < DECAY_FLOOR * initial else "STATIONARY"
+    trajectory.check()
+    h, p1_0, abs_c0 = len(trajectory) // 2, trajectory.p1_0, abs(trajectory.c_0)
+    late = p1_0 * math.exp(h * w_p1) + abs_c0 * math.exp(h * w_c.real)
+    return "DAMPED" if late < DECAY_FLOOR * (p1_0 + abs_c0) else "STATIONARY"
 
 
 def _trajectory(q, gamma, energies, t_final, dt) -> Trajectory:
@@ -357,9 +349,9 @@ def discriminate(
 ) -> tuple[str, str, Trajectory]:
     """Decide q_nonzero vs q_zero from the dynamical behavior.
 
-    Returns (decision, classification, trajectory).  The trajectory is
-    classified one block at a time, so a run holds one block of arrays
-    whatever its grid until its arrays are read.
+    Returns (decision, classification, trajectory).  The trajectory's
+    check holds one block of arrays at a time, so a run holds no array of
+    its grid until its arrays are read.
     """
     trajectory = _trajectory(q, gamma, energies, t_final, dt)
     verdict = classify(trajectory)

@@ -39,6 +39,29 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else out
 
 
+def run_child(*argv):
+    """cli.main(argv) in a child process: its result, and its peak RSS in MiB.
+
+    The child reads its peak as VmHWM: on Linux its ru_maxrss would also
+    count the peak of this process, which it carries across exec."""
+    child = (
+        "import sys\n"
+        "from chaossat import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(*(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+        "          file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(chaossat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode in (0, cli.EXIT_SAT), done.stderr
+    return done, int(done.stderr) / 1024  # VmHWM is in KiB
+
+
 class TestOracle:
     def test_sat(self, capsys, sat_file):
         code, payload = run(capsys, "oracle", sat_file)
@@ -155,7 +178,7 @@ class TestSimulate:
         assert cli.main(["simulate", str(path), "--dump-amplitudes"]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "amplitude dump capped at width 12\n"
+        assert captured.err == "error: amplitude dump capped at width 12\n"
 
     def test_builds_no_state_vector_and_ignores_the_width_cap(
         self, capsys, monkeypatch, sat_file
@@ -195,29 +218,13 @@ class TestSimulate:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
     def test_width_26_stays_under_200_mib(self, tmp_path):
-        # the child reads its peak RSS as VmHWM: on Linux its ru_maxrss would
-        # also count the peak of this process, which it carries across exec
         path = tmp_path / "wide.cnf"
         path.write_text("p cnf 24 1\n1 2 0\n")
-        child = (
-            "import sys\n"
-            "from chaossat import cli\n"
-            "code = cli.main(['simulate', sys.argv[1]])\n"
-            "with open('/proc/self/status') as status:\n"
-            "    print(*(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
-            "          file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        src = os.path.dirname(os.path.dirname(chaossat.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        done, peak = run_child("simulate", str(path))
         payload = json.loads(done.stdout)
         assert payload["probability"] == 0.7499999999999971
         assert payload["r_inferred"] == 3 * 2**22
-        assert int(done.stderr) / 1024 < 200  # VmHWM is in KiB
+        assert peak < 200
 
     def test_non_finite_value_is_refused_not_printed(self, capsys, monkeypatch, sat_file):
         monkeypatch.setattr(cli.simulator, "row_probability", lambda seq: (float("nan"), 0))
@@ -337,6 +344,17 @@ class TestLindblad:
         assert (code, payload) == (0, {"classification": "DAMPED", "decision": "q_nonzero"})
         assert peak < 256 * 2**10  # the 10 001-point arrays alone take 313 KiB
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+    def test_csv_of_a_million_points_stays_under_150_mib(self, tmp_path):
+        # the rows are written one by one, so the peak holds the trajectory's arrays
+        # (about 60 MiB) but not the 57 MB of CSV text
+        csv_path = tmp_path / "traj.csv"
+        done, peak = run_child("lindblad", "--q", "0.5", "--dt", "1e-5", "--csv", str(csv_path))
+        assert json.loads(done.stdout) == {"classification": "DAMPED", "decision": "q_nonzero"}
+        with open(csv_path) as handle:
+            assert sum(1 for _ in handle) == 1 + 10**6 + 1
+        assert peak < 150
+
     def test_csv_values_are_plain_numbers(self, capsys, tmp_path):
         csv_path = tmp_path / "traj.csv"
         code, _ = run(capsys, "lindblad", "--q", "0.03125", "--csv", str(csv_path))
@@ -400,11 +418,13 @@ class TestLindblad:
         (["--gamma-im", "1e200"], "(1+1e+200j)"),
     ])
     def test_overflowing_gamma_is_refused_by_name(self, capsys, gamma, shown):
-        # z**3 in the RK4 step factor passes the float range at these values
+        # z**3 in the RK4 step factor passes the float range at these values; with no
+        # --dt, Re gamma 1e308 steps by a thousandth of its horizon 10 / Re gamma
+        dt = "1e-310" if gamma[0] == "--gamma-re" else "0.001"
         assert cli.main(["lindblad", "--q", "0.5", *gamma]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: gamma {shown} with dt 0.001 overflows the RK4 step factor\n"
+        assert captured.err == f"error: gamma {shown} with dt {dt} overflows the RK4 step factor\n"
 
 
 def cx(matrix):
@@ -678,13 +698,14 @@ class TestSolve:
     @pytest.mark.parametrize("engine", ["lindblad", "both"])
     @pytest.mark.parametrize("gamma", [
         "--gamma-re=nan", "--gamma-re=0", "--gamma-re=-1", "--gamma-re=1e308", "--gamma-re=1e-4",
-        "--gamma-re=1.4e3",
+        "--gamma-im=3000",
     ])
     def test_gamma_is_refused_before_the_oracle(self, capsys, monkeypatch, tmp_path,
                                                  unsat_file, engine, gamma):
         # solve calls the probe's own set-up, so it refuses each gamma with the line
         # lindblad prints, at any q; 1e308 overflows the RK4 step factor, 1e-4
-        # asks for a grid of 1e8 steps and 1.4e3 gives a step with |R(z)| > 1
+        # asks for a grid of 1e8 steps and Im gamma 3000 gives a coherence step
+        # with |R(z)| > 1
         assert cli.main(["lindblad", "--q", "0.5", gamma]) == cli.EXIT_ERROR
         probe = capsys.readouterr()
         assert probe.out == "" and probe.err.startswith("error: ")
@@ -709,6 +730,15 @@ class TestSolve:
         code, payload = run(capsys, "solve", sat_file, "--engine", "lindblad", "--gamma-re", "1e3")
         assert code == cli.EXIT_SAT
         assert payload["lindblad"] == {"decision": "q_nonzero", "classification": "DAMPED"}
+
+    def test_large_real_gamma_decides(self, capsys, sat_file):
+        # past Re gamma 10 the default horizon 10 / Re gamma is shorter than 1, and the
+        # default step, a thousandth of it, keeps 1001 points that reach the floor
+        for gamma in [1200.0, 1.4e3, 1e5, *np.logspace(1.0, 6.0, 200)]:
+            code, payload = run(capsys, "solve", sat_file, "--engine", "lindblad",
+                                "--gamma-re", repr(float(gamma)))
+            assert code == cli.EXIT_SAT, gamma
+            assert payload["lindblad"] == {"decision": "q_nonzero", "classification": "DAMPED"}
 
     @pytest.mark.parametrize("engine", ["chaos", "lindblad", "both"])
     def test_engine_count_must_equal_the_oracle(self, capsys, monkeypatch, sat_file, engine):
@@ -757,7 +787,7 @@ class TestSolve:
             assert captured.err == f"error: n={n} exceeds brute-force limit 24\n"
 
     def test_probe_keeps_no_trajectory(self, capsys, monkeypatch, sat_file, unsat_file):
-        def read(trajectory):
+        def read(*args):
             pytest.fail("solve read the probe's trajectory arrays")
 
         for name in ("times", "p1", "coherence", "abs_c"):
@@ -765,8 +795,9 @@ class TestSolve:
         code, payload = run(capsys, "solve", sat_file, "--engine", "lindblad")
         assert code == cli.EXIT_SAT
         assert payload["lindblad"] == {"decision": "q_nonzero", "classification": "DAMPED"}
-        # q = 0 is decided from the rotation angle: no grid point is evaluated
-        monkeypatch.setattr(cli.lindblad.Trajectory, "blocks", read)
+        # q = 0 is decided from the rotation angle: no grid point is checked or evaluated
+        monkeypatch.setattr(cli.lindblad.Trajectory, "check", read)
+        monkeypatch.setattr(cli.lindblad.Trajectory, "_at", read)
         code, payload = run(capsys, "solve", unsat_file, "--engine", "lindblad")
         assert code == cli.EXIT_UNSAT
         assert payload["lindblad"] == {"decision": "q_zero", "classification": "OSCILLATORY"}

@@ -7,6 +7,7 @@ traceback, numpy's ``np.`` or ``gufunc`` text, or an exception repr.
 """
 
 import json
+import math
 import re
 
 from hypothesis import HealthCheck, example, given, settings
@@ -107,6 +108,54 @@ class TestArgvFuzz:
             path.write_text(SAT_TEXT if argv[1] == "sat" else UNSAT_TEXT)
             argv = [argv[0], str(path), *argv[2:]]
         assert_clean(*run(capsys, argv))
+
+
+# the one error a stable RK4 step can still reach after the oracle: the coherence
+# outlasts the population (|R_c|^2 > R_p1) and a state on the grid loses positivity
+POSITIVITY = re.compile(r"error: state invariant violated at t=\S+: min eigenvalue \S+\n")
+
+
+class TestSolveProbeFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.integers(1, 6),
+        clauses=st.lists(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=3),
+                         min_size=1, max_size=5),
+        engine=st.sampled_from(("lindblad", "both")),
+        log_re=st.floats(-5.0, 6.0),
+        log_im=st.none() | st.floats(-2.0, 4.0),
+        negative_im=st.booleans(),
+    )
+    # Re gamma 1200 runs on 1001 points of its horizon and decides; Im gamma 3000
+    # is an unstable coherence step, refused before the oracle
+    @example(n=2, clauses=[[1, 2]], engine="lindblad", log_re=math.log10(1200), log_im=None,
+             negative_im=False)
+    @example(n=2, clauses=[[1, 2]], engine="lindblad", log_re=0.0, log_im=math.log10(3000),
+             negative_im=False)
+    def test_exit_1_only_before_the_oracle(self, capsys, monkeypatch, tmp_path, n, clauses,
+                                           engine, log_re, log_im, negative_im):
+        # whenever solve exits 1, the oracle never ran, or the formula is a tautology
+        # the probe cannot decide, or a state on the grid lost positivity
+        calls = []
+        count_satisfying = cli.cnf.count_satisfying
+
+        def oracle(instance):
+            calls.append(instance)
+            return count_satisfying(instance)
+
+        monkeypatch.setattr(cli.cnf, "count_satisfying", oracle)
+        variables = {abs(lit) for clause in clauses for lit in clause}
+        path = tmp_path / "random.cnf"
+        path.write_text(f"p cnf {max(n, *variables)} {len(clauses)}\n"
+                        + "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses))
+        im = 0.0 if log_im is None else (-1) ** negative_im * 10.0**log_im
+        argv = ["solve", str(path), f"--engine={engine}", f"--gamma-re={10.0**log_re!r}",
+                f"--gamma-im={im!r}"]
+        code, out, err = run(capsys, argv)
+        if code == cli.EXIT_ERROR:
+            unsupported = out and json.loads(out).get("lindblad", {}).get("decision")
+            assert not calls or unsupported == "unsupported" or POSITIVITY.fullmatch(err), err
 
 
 # header variable counts past the oracle's limit of 24, past the compiler's of

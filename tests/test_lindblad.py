@@ -386,11 +386,11 @@ def outcome(func):
 
 
 def probe(q, gamma, t_final, dt):
-    """discriminate's outcome, and the outcome of reading every block of its trajectory:
+    """discriminate's outcome, and the outcome of reading its trajectory's arrays:
     one row each of p1, coherence and |coherence| over the whole grid."""
     def values():
         trajectory = lindblad._trajectory(q, gamma, HamiltonianParams(0, 2), t_final, dt)
-        return np.stack([np.concatenate(column) for column in zip(*trajectory.blocks())])
+        return np.stack([trajectory.p1, trajectory.coherence, trajectory.abs_c])
 
     return (outcome(lambda: lindblad.discriminate(q, gamma, t_final=t_final, dt=dt)[:2]),
             outcome(values))
@@ -428,7 +428,7 @@ class TestDecide:
     @example(q=0.0, re=1.0, im=0.0, points=2 * BLOCK + 1, dt=2 * math.pi / 1000,
              default_horizon=False)
     def test_matches_discriminate(self, q, re, im, points, dt, default_horizon):
-        # the same run again with BLOCK past its number of points, read as one block
+        # the same run again with BLOCK past its number of points, checked as one block
         t_final = None if default_horizon else (points - 1) * dt
         gamma = complex(re, im)
         verdict, values = probe(q, gamma, t_final, dt)
@@ -437,20 +437,38 @@ class TestDecide:
             one_verdict, one_values = probe(q, gamma, t_final, dt)
         assert verdict == one_verdict
         if isinstance(one_values, np.ndarray):
-            # point s + j of a block is (x0 R^s) R^j, a rounding away from x0 R^(s + j)
-            np.testing.assert_allclose(values, one_values, rtol=1e-12, atol=1e-300)
+            np.testing.assert_array_equal(values, one_values)
         else:
             assert values == one_values
 
     def test_invariant_failure_past_the_first_block(self, monkeypatch):
         # the error quotes the failing point from x0 R^k itself, not from the
-        # product of the blocks' two tables
+        # product of the check's two tables
         monkeypatch.setattr(DissipativeParams, "rk4_factors", unchecked_factors)
         q, gamma, dt = THIRD_BLOCK_FAILURE
         with pytest.raises(RuntimeError) as info:
             lindblad.discriminate(q, gamma, t_final=4095 * dt, dt=dt)
         assert str(info.value) == ("state invariant violated at t=1206.2143534878082: "
-                                   "trace drift 0.0, min eigenvalue -0.007643985161585265")
+                                   "min eigenvalue -0.007643985161585265")
+
+    def test_checks_once_and_classifies_with_no_grid_point(self, monkeypatch):
+        # the check evaluates its two tables once; classify then reads no grid point,
+        # and the arrays are one evaluation more
+        evaluations = []
+        at = lindblad.Trajectory._at
+
+        def counted(self, k, p1_0, c_0):
+            evaluations.append(len(k))
+            return at(self, k, p1_0, c_0)
+
+        monkeypatch.setattr(lindblad.Trajectory, "_at", counted)
+        trajectory = lindblad._trajectory(0.3, 1.0, HamiltonianParams(0, 2), None, None)
+        assert lindblad.classify(trajectory) == "DAMPED"
+        assert evaluations == [math.ceil(len(trajectory) / BLOCK), BLOCK]
+        trajectory.check()
+        assert lindblad.classify(trajectory) == "DAMPED"
+        assert len(trajectory.p1) == len(trajectory.abs_c) == len(trajectory)
+        assert evaluations == [math.ceil(len(trajectory) / BLOCK), BLOCK, len(trajectory)]
 
     def test_holds_one_block(self):
         lindblad.discriminate(0.3)
@@ -463,35 +481,32 @@ class TestDecide:
         assert peak < 256 * 2**10  # the 10 001-point arrays alone take 313 KiB
 
 
+def scanned_damping(trajectory):
+    """classify's damping verdict as it was reached by scanning the grid, kept as a
+    reference: DAMPED when the largest signal p1 + |c| over the last half of the
+    grid is below DECAY_FLOOR times the first."""
+    signal = trajectory.p1 + trajectory.abs_c
+    late = signal[len(trajectory) // 2:].max()  # NaN propagates
+    return ("DAMPED" if signal[0] > 0.0 and late < lindblad.DECAY_FLOOR * signal[0]
+            else "STATIONARY")
+
+
 def two_pass_classify(trajectory):
-    """The recurrence-scanning classify, kept as a reference: the damping pass, then a
-    second pass over the blocks that calls a run OSCILLATORY when its coherence leaves
+    """The recurrence-scanning classify, kept as a reference: the damping scan, then a
+    second pass over the grid that calls a run OSCILLATORY when its coherence leaves
     its start by more than 1e-6 and comes back within 1e-6."""
-    half = len(trajectory) // 2
-    start, late = 0, -math.inf
-    for p1, _, abs_c in trajectory.blocks():
-        if start == 0:
-            initial = p1[0] + abs_c[0]
-        end = start + len(p1)
-        if end > half:
-            skip = max(half - start, 0)
-            late = np.maximum(late, (p1[skip:] + abs_c[skip:]).max())
-        start = end
-    if initial > 0.0 and float(late) < lindblad.DECAY_FLOOR * initial:
+    if scanned_damping(trajectory) == "DAMPED":
         return "DAMPED"
-    origin, moved = None, False
-    for _, c, _ in trajectory.blocks():
-        if origin is None:
-            origin = c[0]
-        departure = np.abs(c - origin)
-        if not moved:
-            left = np.flatnonzero(departure > 1e-6)
-            if not left.size:
-                continue
-            moved, departure = True, departure[left[0]:]
-        if np.any(departure < 1e-6):
-            return "OSCILLATORY"
-    return "STATIONARY"
+    departure = np.abs(trajectory.coherence - trajectory.c_0)
+    left = np.flatnonzero(departure > 1e-6)
+    return "OSCILLATORY" if left.size and np.any(departure[left[0]:] < 1e-6) else "STATIONARY"
+
+
+def near_the_floor(trajectory):
+    """Whether the grid's own late signal is within 1e-12 of DECAY_FLOOR times the
+    first, where the closed form and a scan may round to different sides."""
+    signal = trajectory.p1 + trajectory.abs_c
+    return abs(signal[len(trajectory) // 2] / signal[0] - lindblad.DECAY_FLOOR) <= 1e-12
 
 
 class TestDampingPass:
@@ -512,11 +527,38 @@ class TestDampingPass:
     def test_matches_the_two_pass_reference(self, q, re, im, points, dt):
         # a dissipative run keeps its verdict, or its error, except OSCILLATORY,
         # which only a rotation can now be
-        def verdict(classify):
-            return outcome(lambda: classify(lindblad.evolve_dissipative(
-                TwoLevelState.from_q(q), DissipativeParams(complex(re, im)),
-                (points - 1) * dt, dt)))
+        def run():
+            return lindblad.evolve_dissipative(TwoLevelState.from_q(q),
+                                               DissipativeParams(complex(re, im)),
+                                               (points - 1) * dt, dt)
 
-        expected = verdict(two_pass_classify)
-        assert verdict(lindblad.classify) == ("STATIONARY" if expected == "OSCILLATORY"
-                                              else expected)
+        expected = outcome(lambda: two_pass_classify(run()))
+        got = outcome(lambda: lindblad.classify(run()))
+        assert got == ("STATIONARY" if expected == "OSCILLATORY" else expected) \
+            or near_the_floor(run())
+
+
+class TestClosedFormVerdict:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        log_re=st.floats(-2.0, 6.0),
+        im=st.just(0.0) | st.floats(-1e3, 1e3),
+        steps=st.none() | st.integers(0, 4 * BLOCK),
+        dt=st.none() | st.floats(1e-4, 0.5),
+    )
+    # |R_c|^2 > R_p1: the check fails on the same point for both
+    @example(q=0.5, log_re=0.0, im=2.0, steps=20, dt=0.5)
+    # the default grid at Re gamma 1200: 1001 points of 10 / 1200 / 1000
+    @example(q=math.sqrt(0.75), log_re=math.log10(1200), im=0.0, steps=None, dt=None)
+    @example(q=0.5, log_re=0.0, im=0.0, steps=100, dt=1e-3)
+    def test_matches_the_scanned_verdict(self, q, log_re, im, steps, dt):
+        # the verdict, or the same positivity error, as the scan gave on the grid
+        gamma = complex(10.0**log_re, im)
+        t_final = None if steps is None else steps * (dt or lindblad.DEFAULT_DT)
+
+        def run():
+            return lindblad._trajectory(q, gamma, HamiltonianParams(0, 2), t_final, dt)
+
+        expected = outcome(lambda: scanned_damping(run()))
+        assert outcome(lambda: lindblad.classify(run())) == expected or near_the_floor(run())
