@@ -1,8 +1,9 @@
 """Quantum information metrics: entropies, mutual-entropy variants, entropy exchange.
 
-All operators are finite-dimensional matrices.  Logarithms default to
-base 2; eigenvalues within 1e-10 below zero are clamped, anything lower
-is an invariant violation.
+All operators are nonempty finite matrices.  Logarithms default to base 2.
+Eigenvalues down to EIG_CLAMP below zero are clamped, anything lower is an
+invariant violation, and one at or below SUPPORT_TOL counts as zero.  Each
+mutual entropy is a difference of von Neumann entropies.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EIG_CLAMP = 1e-10
-SUPPORT_TOL = 1e-12
+EIG_CLAMP = 1e-10  # the PSD floor: eigenvalues down to -EIG_CLAMP are rounding
+SUPPORT_TOL = 1e-12  # the one cut at or below which an eigenvalue is zero
+STATE_TOL = 1e-12  # Hermiticity, unit trace, sum A+ A = I and the prior sum
 PVM_TOL = 1e-10  # is_rank1_pvm's tolerance on each of its identities
 THEOREM7_TOL = 1e-10  # theorem7_holds' tolerance on each of its checks
 
@@ -41,11 +43,13 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvariantError(f"expected a square matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-12:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise InvariantError(f"expected a nonempty square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvariantError("density matrix entries must be finite")
+        if not np.abs(m - m.conj().T).max() <= STATE_TOL:
             raise InvariantError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
+        if not abs(np.trace(m).real - 1.0) <= STATE_TOL:
             raise InvariantError(f"trace must be 1, got {np.trace(m)}")
         values, vectors = np.linalg.eigh(m)
         if values.min() < -EIG_CLAMP:
@@ -82,11 +86,14 @@ class KrausChannel:
             ops = np.asarray(self.kraus, dtype=np.complex128)
         except ValueError:
             raise InvariantError("Kraus operators must be numeric matrices of one shape") from None
-        if ops.ndim != 3:
-            raise InvariantError(f"expected a (K, d_out, d_in) Kraus stack, got shape {ops.shape}")
+        if ops.ndim != 3 or not ops.size:
+            raise InvariantError(f"expected a nonempty (K, d_out, d_in) Kraus stack, "
+                                 f"got shape {ops.shape}")
+        if not np.isfinite(ops).all():
+            raise InvariantError("Kraus operators must be finite")
         object.__setattr__(self, "kraus", ops)
         total = np.einsum("kab,kac->bc", ops.conj(), ops)
-        if np.abs(total - np.eye(self.dim_in)).max() > 1e-10:
+        if not np.abs(total - np.eye(self.dim_in)).max() <= STATE_TOL:
             raise InvariantError("Kraus operators must satisfy sum A+ A = I")
 
     @property
@@ -142,25 +149,23 @@ class Ensemble:
     def __post_init__(self):
         if len(self.priors) != len(self.states):
             raise InvariantError("priors and states must align")
-        if any(p < 0 for p in self.priors):
+        if not all(p >= 0 for p in self.priors):
             raise InvariantError("priors must be nonnegative")
-        if abs(sum(self.priors) - 1.0) > 1e-12:
+        if not abs(sum(self.priors) - 1.0) <= STATE_TOL:
             raise InvariantError(f"priors must sum to 1, got {sum(self.priors)}")
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise InvariantError("all signal states must share a dimension")
 
     def mixture(self) -> DensityMatrix:
-        return DensityMatrix(
-            sum(p * s.matrix for p, s in zip(self.priors, self.states))
-        )
+        return DensityMatrix(sum(p * s.matrix for p, s in zip(self.priors, self.states)))
 
 
 def vn_entropy(rho: DensityMatrix, base=2) -> float:
     """-sum lambda log lambda over the eigenvalues (0 log 0 = 0)."""
     factor = _log_factor(base)
     values = rho.eigenvalues
-    positive = values[values > 0]
+    positive = values[values > SUPPORT_TOL]
     # + 0.0 turns the -0.0 of a pure state into 0.0
     return float(-(positive * np.log(positive)).sum() / factor) + 0.0
 
@@ -178,7 +183,7 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix, base=2) -> float:
         if leak > 1e-10:
             return math.inf
     sig_vals = sigma.eigenvalues
-    positive = sig_vals[sig_vals > 0]
+    positive = sig_vals[sig_vals > SUPPORT_TOL]
     term1 = float((positive * np.log(positive)).sum())
     overlaps = np.einsum(
         "ij,jk,ki->i", rho_vecs.conj().T, sigma.matrix, rho_vecs
@@ -189,27 +194,25 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix, base=2) -> float:
 
 
 def ohya_mutual(rho: DensityMatrix, channel: KrausChannel, base=2) -> float:
-    """Weighted relative entropy of channeled eigenprojections vs the output.
+    """Ohya's sum_n lambda_n S(Lambda E_n, Lambda rho) over rho = sum_n lambda_n E_n.
 
-    sum_n lambda_n S(Lambda E_n, Lambda rho) over the spectral
-    decomposition of rho, eigenvalues descending, zero modes dropped.
-    For a degenerate rho the decomposition is the one eigh returns; the
-    supremum over other orthogonal decompositions is not searched.
+    As sum_n lambda_n Lambda E_n = Lambda rho, this is S(Lambda rho) -
+    sum_n lambda_n S(Lambda E_n), zero modes dropped.  For a degenerate rho
+    the decomposition is the one eigh returns; the supremum over other
+    orthogonal decompositions is not searched.
     """
-    return _ohya_mutual(rho, channel, channel(rho), base)
+    return _ohya_mutual(rho, channel, vn_entropy(channel(rho), base), base)
 
 
-def _ohya_mutual(rho: DensityMatrix, channel: KrausChannel, out: DensityMatrix, base) -> float:
-    """ohya_mutual with the output state out = channel(rho) already built."""
-    values = rho.eigenvalues
-    order = np.argsort(values)[::-1]
-    kept = order[values[order] > SUPPORT_TOL]
+def _ohya_mutual(rho: DensityMatrix, channel: KrausChannel, s_out: float, base) -> float:
+    """ohya_mutual with s_out = S(channel(rho)) already computed."""
+    kept = rho.eigenvalues > SUPPORT_TOL
     # Lambda(v v+) = sum_k (A_k v)(A_k v)+ for every kept eigenvector v at once
     b = channel.kraus @ rho.eigenvectors[:, kept]
     projected = np.einsum("kan,kbn->nab", b, b.conj())
-    return sum(
-        float(values[n]) * relative_entropy(DensityMatrix(p), out, base)
-        for n, p in zip(kept, projected)
+    return s_out - sum(
+        float(value) * vn_entropy(DensityMatrix(p), base)
+        for value, p in zip(rho.eigenvalues[kept], projected)
     )
 
 
@@ -249,14 +252,13 @@ def coherent_informations(rho: DensityMatrix, channel: KrausChannel, base=2) -> 
 def mutual_entropies(rho: DensityMatrix, channel: KrausChannel, base=2) -> dict:
     """S, S_out, S_e, I1, I2 and I3 of rho through channel, each computed once."""
     s_rho = vn_entropy(rho, base)
-    out = channel(rho)
-    s_out = vn_entropy(out, base)
+    s_out = vn_entropy(channel(rho), base)
     s_e = entropy_exchange(rho, channel, base)
     return {
         "S": s_rho,
         "S_out": s_out,
         "S_e": s_e,
-        "I1": _ohya_mutual(rho, channel, out, base),
+        "I1": _ohya_mutual(rho, channel, s_out, base),
         "I2": s_out - s_e,
         "I3": (s_rho + s_out) - s_e,
     }
@@ -283,11 +285,5 @@ def theorem7_report(rho: DensityMatrix, channel: KrausChannel, base=2) -> dict:
     if not channel.is_rank1_pvm():
         raise ValueError("channel is not a rank-1 projection valued measure")
     values = mutual_entropies(rho, channel, base)
-    return {
-        "I1": values["I1"],
-        "I2": values["I2"],
-        "I3": values["I3"],
-        "S_rho": values["S"],
-        "S_out": values["S_out"],
-        "inequalities_hold": theorem7_holds(values),
-    }
+    return {"I1": values["I1"], "I2": values["I2"], "I3": values["I3"], "S_rho": values["S"],
+            "S_out": values["S_out"], "inequalities_hold": theorem7_holds(values)}

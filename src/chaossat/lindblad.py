@@ -134,7 +134,7 @@ def _rhs(p1: float, c: complex, g: complex) -> tuple[float, complex]:
     return -2.0 * g.real * p1, (1j * g.imag - g.real) * c
 
 
-# the grid step of evolve_dissipative and evolve_hamiltonian unless a caller sets one
+# the longest default step of dissipative_grid, and evolve_hamiltonian's default step
 DEFAULT_DT = 1e-3
 # 1000x the default grid; `lindblad --csv` on 10^6 points peaks at about 90 MiB
 # (30 MiB without --csv), and its arrays grow linearly with the grid
@@ -160,10 +160,17 @@ def dissipative_grid(gamma: complex, t_final: float | None = None, dt: float | N
     """(grid points, dt, RK4 factors) of the dissipative probe: each of its refusals of
     gamma, grid and step.  t_final defaults to 10 / Re gamma, and dt to DEFAULT_DT or
     a thousandth of that horizon, whichever is shorter, so a large Re gamma still
-    gets the 1000 steps it needs to damp."""
+    gets the 1000 steps it needs to damp.  A given t_final whose step leaves p1
+    unchanged (its RK4 factor rounds to 1) where DEFAULT_DT would not is refused by name."""
     params = DissipativeParams(gamma)
     horizon = 10.0 / complex(gamma).real if t_final is None else t_final
-    dt = min(DEFAULT_DT, horizon / 1000.0) if dt is None else dt
+    if dt is None:
+        dt = min(DEFAULT_DT, horizon / 1000.0)
+        rate = 2.0 * complex(gamma).real  # p1's decay rate: its step factor is 1 - rate dt + ...
+        if (t_final is not None and 0.0 < t_final and 1.0 - rate * dt == 1.0
+                and 1.0 - rate * DEFAULT_DT != 1.0):
+            raise ValueError(f"t_final {t_final} is too short: its step t_final / 1000 = "
+                             f"{dt} leaves the state unchanged")
     return _grid_points(horizon, dt), dt, params.rk4_factors(dt)
 
 
@@ -254,7 +261,7 @@ def evolve_dissipative(
     rho0: TwoLevelState | _Start,
     params: DissipativeParams,
     t_final: float | None,
-    dt: float | None = DEFAULT_DT,
+    dt: float | None = None,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the dissipative master equation, in closed form.
 

@@ -426,6 +426,23 @@ class TestLindblad:
         assert captured.out == ""
         assert captured.err == f"error: gamma {shown} with dt {dt} overflows the RK4 step factor\n"
 
+    @pytest.mark.parametrize("t_final, dt", [("1e-300", "1.0000000000000001e-303"),
+                                             ("1e-322", "0.0")])
+    def test_horizon_too_short_to_step_is_refused_by_name(self, capsys, t_final, dt):
+        # with no --dt the step is t_final / 1000; here it moves no state, and the value
+        # at fault is --t-final, not a --dt that was never given
+        assert cli.main(["lindblad", "--q", "0.5", "--t-final", t_final]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: t_final {t_final} is too short: its step "
+                                f"t_final / 1000 = {dt} leaves the state unchanged\n")
+        # an explicit --dt keeps its own refusal
+        assert cli.main(["lindblad", "--q", "0.5", "--t-final", t_final, "--dt", "1e-303"]) == 1
+        assert capsys.readouterr().err.startswith("error: gamma (1+0j) with dt 1e-303 gives an ")
+        # so does a gamma that not even the default step 1e-3 moves: gamma is at fault
+        assert cli.main(["lindblad", "--q", "0.5", "--gamma-re", "1e-20", "--t-final", "0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error: gamma (1e-20+0j) with dt 0.0005 gives an ")
+
 
 def cx(matrix):
     """Nested [re, im] pairs, the spec's entry format."""
@@ -468,6 +485,34 @@ class TestEntropy:
         # W = diag(0.82, 0.18)
         s_e = -(0.82 * np.log2(0.82) + 0.18 * np.log2(0.18))
         assert payload["S_e"] == pytest.approx(s_e, abs=1e-12)
+
+    def test_leak_off_the_output_support_gives_finite_i1(self, capsys, tmp_path):
+        # Lambda rho = diag(1 - lam, 0.95 lam, 0.05 lam): its last eigenvalue, 5e-13, is
+        # below SUPPORT_TOL, and Lambda E_1 puts weight 0.05 there
+        lam, p = 1e-11, 0.05
+        kraus = [np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)], [0.0, 0.0]]),
+                 np.array([[0.0, 0.0], [0.0, 0.0], [0.0, np.sqrt(p)]])]
+        spec = {"rho": cx(np.diag([1.0 - lam, lam])), "channel": {"kraus": [cx(a) for a in kraus]}}
+        path = tmp_path / "leak.json"
+        path.write_text(json.dumps(spec))
+        code, payload = run(capsys, "entropy", "--in", str(path))
+        assert code == 0
+        # H(1 - lam, 0.95 lam), with 0.05 lam cut as zero, minus lam h(0.05)
+        h_out = -((1.0 - lam) * math.log2(1.0 - lam) + (1.0 - p) * lam * math.log2((1.0 - p) * lam))
+        h_p = -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+        assert payload["I1"] == pytest.approx(h_out - lam * h_p, abs=1e-12)
+
+    def test_loose_channel_is_refused_by_the_channel(self, capsys, tmp_path):
+        # sum A+ A = I is off by 5e-11, past the 1e-12 that the output state's trace must meet
+        spec = {"rho": cx(np.diag([0.75, 0.25])),
+                "channel": {"kraus": [cx(np.diag([math.sqrt(1.0 + 5e-11), 0.0])),
+                                      cx(np.diag([0.0, 1.0]))]}}
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["entropy", "--in", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Kraus operators must satisfy sum A+ A = I\n"
 
 
 def write_spec(tmp_path, text):
@@ -558,7 +603,8 @@ class TestEntropySpecErrors:
     @pytest.mark.parametrize(
         "text, reason",
         [
-            (json.dumps(DIAGONAL_SPEC).replace("0.75", "NaN", 1), "rho: entries must be finite"),
+            (json.dumps(DIAGONAL_SPEC).replace("0.75", "NaN", 1),
+             "density matrix entries must be finite"),
             (json.dumps(DIAGONAL_SPEC).replace("0.75", "Infinity", 1), "must be finite"),
             (json.dumps({"rho": DIAGONAL_SPEC["rho"]}), "needs the keys"),
             (json.dumps({"rho": DIAGONAL_SPEC["rho"], "channel": {}}), "needs the keys"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaossat import entropy
 from chaossat.entropy import (
@@ -32,6 +34,22 @@ def random_isometric_channel(rng, dim, n_kraus):
     return KrausChannel(tuple(isometry[k * dim : (k + 1) * dim, :] for k in range(n_kraus)))
 
 
+def leak_pair(lam, p):
+    """rho = diag(1 - lam, lam) and A0 = |0><0| + sqrt(1-p) |1><1|, A1 = sqrt(p) |2><1|.
+
+    Lambda rho = diag(1 - lam, (1-p) lam, p lam): for a small lam p, Lambda E_1 has
+    weight p on a direction that Lambda rho holds below SUPPORT_TOL.
+    """
+    a0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)], [0.0, 0.0]])
+    a1 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, math.sqrt(p)]])
+    return DensityMatrix(np.diag([1.0 - lam, lam])), KrausChannel((a0, a1))
+
+
+def shannon(probabilities):
+    """-sum x log2 x over the entries above the toolkit's one zero cut."""
+    return -sum(x * math.log2(x) for x in probabilities if x > entropy.SUPPORT_TOL)
+
+
 def amplitude_damping(gamma):
     return KrausChannel(
         (
@@ -54,6 +72,20 @@ class TestDensityMatrix:
     def test_negative_rejected(self):
         with pytest.raises(InvariantError):
             DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN fails every comparison, so it would pass a "> tolerance" test
+        for where in ((0, 0), (0, 1)):
+            m = np.diag([0.5, 0.5]).astype(complex)
+            m[where] = bad
+            with pytest.raises(InvariantError, match="^density matrix entries must be finite$"):
+                DensityMatrix(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (1, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(InvariantError, match="^expected a nonempty square matrix"):
+            DensityMatrix(np.zeros(shape))
 
 
 class TestVnEntropy:
@@ -83,6 +115,20 @@ class TestVnEntropy:
     def test_bad_base(self):
         with pytest.raises(ValueError):
             entropy.vn_entropy(DensityMatrix.maximally_mixed(2), base=10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(big=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+           tiny=st.lists(st.floats(-15.0, -12.0), min_size=1, max_size=3))
+    @example(big=[1.0], tiny=[-12.0])  # exactly SUPPORT_TOL
+    def test_eigenvalues_at_or_below_the_cut_add_nothing(self, big, tiny):
+        tiny = [10.0**x for x in tiny]
+        scale = (1.0 - sum(tiny)) / sum(big)
+        diagonal = [b * scale for b in big] + tiny
+        assert all(x <= entropy.SUPPORT_TOL for x in tiny)
+        # each tiny eigenvalue alone would add at least 5e-14 bits
+        assert entropy.vn_entropy(DensityMatrix(np.diag(diagonal))) == pytest.approx(
+            shannon(diagonal), abs=1e-15
+        )
 
 
 class TestRelativeEntropy:
@@ -124,6 +170,24 @@ class TestKrausChannel:
     def test_completeness_enforced(self):
         with pytest.raises(InvariantError):
             KrausChannel((np.eye(2) * 0.5,))
+
+    def test_completeness_holds_to_the_state_tolerance(self):
+        # off by 5e-11: the output's trace would be off by more than DensityMatrix allows
+        loose = np.diag([math.sqrt(1.0 + 5e-11), 0.0])
+        with pytest.raises(InvariantError, match=r"^Kraus operators must satisfy sum A\+ A = I$"):
+            KrausChannel((loose, np.diag([0.0, 1.0])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        ops = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        ops[1, 0, 1] = bad
+        with pytest.raises(InvariantError, match="^Kraus operators must be finite$"):
+            KrausChannel(ops)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 2), (1, 2, 0), (0, 0, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(InvariantError, match=r"^expected a nonempty \(K, d_out, d_in\)"):
+            KrausChannel(np.zeros(shape))
 
     def test_depolarizing_output(self):
         channel = KrausChannel.depolarizing(3)
@@ -251,6 +315,36 @@ class TestOhyaMutual:
             value = entropy.ohya_mutual(rho, channel)
             assert value <= entropy.vn_entropy(rho) + 1e-10
             assert value >= -1e-12
+
+
+class TestOhyaLeak:
+    """I1 where a channeled eigenprojection leaks off the output's numerical support."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_lam=st.floats(-11.0, -2.0), log_p=st.floats(-10.0, math.log10(0.5)))
+    @example(log_lam=-11.0, log_p=math.log10(0.05))
+    @example(log_lam=-2.0, log_p=-10.0)  # p lam at the cut itself
+    def test_matches_closed_form(self, log_lam, log_p):
+        lam, p = 10.0**log_lam, 10.0**log_p
+        rho, channel = leak_pair(lam, p)
+        ops = list(channel.kraus)
+        # H(1 - lam, (1-p) lam, p lam) - lam h(p), read off the diagonals of Lambda rho
+        # and Lambda E_1 as the reference loop builds them, so both sides cut the same floats
+        out = loop_apply(ops, rho).diagonal().real
+        image = loop_apply(ops, DensityMatrix(np.diag([0.0, 1.0]))).diagonal().real
+        closed = shannon(out) - lam * shannon(image)
+        value = entropy.ohya_mutual(rho, channel)
+        assert abs(value - closed) < 1e-12
+        assert value == entropy.mutual_entropies(rho, channel)["I1"]
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("priors", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0),
+                                        (-math.inf, 1.0), ()])
+    def test_non_finite_or_empty_priors_rejected(self, priors):
+        states = (DensityMatrix.pure([1.0, 0.0]), DensityMatrix.pure([0.0, 1.0]))[:len(priors)]
+        with pytest.raises(InvariantError, match="^priors must"):
+            Ensemble(priors, states)
 
 
 class TestHolevoMutual:

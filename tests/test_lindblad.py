@@ -222,8 +222,16 @@ class TestEvolveDissipative:
         assert np.all(np.diff(record.p1) < 0)
         assert record.p1[-1] < 1e-3
 
+    def test_default_step_is_the_probe_grid(self):
+        # no dt: the grid dissipative_grid derives, 1000 steps of the horizon 10 / Re gamma
+        trajectory = lindblad.evolve_dissipative(
+            TwoLevelState.from_q(0.5), DissipativeParams(1200), None
+        )
+        assert len(trajectory) == 1001 and trajectory.dt == 10.0 / 1200 / 1000
+        assert lindblad.classify(trajectory) == "DAMPED"
+
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dt and t_final must be finite and positive$"):
             lindblad.evolve_dissipative(TwoLevelState.plus(), DissipativeParams(1.0), 0.0)
         with pytest.raises(ValueError):
             lindblad.evolve_dissipative(
